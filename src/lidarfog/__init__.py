@@ -46,7 +46,6 @@ from .pointcloud_io import (
 from .tables import (
     SoftResponseTable,
     build_table,
-    load_or_build,
     naive_soft_max,
     query_soft_max,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "foggify_point",
     "hard_peak_intensity",
     "intersect_returns",
-    "load_or_build",
     "mor_to_alpha",
     "mor_to_beta",
     "naive_soft_max",

@@ -37,7 +37,7 @@ from .optics import (
     PulseEnergy,
     SensorModel,
     clear_response,
-    soft_response_integral,
+    soft_response_integrals,
 )
 from .pointcloud_io import (
     DEFAULT_MATCH_TOLERANCE,
@@ -242,10 +242,8 @@ def cmd_response(args) -> int:
     grid = (np.arange(n, dtype=np.int64) + 1) * step
 
     p_hard = np.exp(-2.0 * fog.alpha * r0) * clear_response(grid, r0, energy, fog, sensor)
-    p_soft = np.array([
-        ca_p0 * fog.beta * soft_response_integral(r + shift, fog, sensor, hard_range=r0)
-        for r in grid
-    ])
+    p_soft = ca_p0 * fog.beta * soft_response_integrals(grid + shift, fog, sensor,
+                                                        hard_range=r0)
 
     table = build_table(fog, sensor)
     _, r_tmp = query_soft_max(table, r0)

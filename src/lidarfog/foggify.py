@@ -169,7 +169,9 @@ def _transform_block(x, y, z, inten, draws, fog: FogParams, sensor: SensorModel,
 
     Returns (x_out, y_out, z_out, i_out, soft_mask, skipped_mask).  Skipped
     points (zero/overlong range, non-finite coordinates or intensity) pass
-    through unchanged.
+    through unchanged.  The table entry is floor(r0 / grid_step), computed in
+    floating point as in `query_soft_max`, so it can be one below the
+    largest k with k * grid_step <= r0 (r0 = 4.3 reads entry 42).
     """
     r0 = np.sqrt(x * x + y * y + z * z)
     valid = np.isfinite(r0) & (r0 > 0.0) & (r0 <= sensor.max_range) & np.isfinite(inten)

@@ -6,9 +6,12 @@ is the solid object in the line of sight (a "hard" target, a Dirac impulse
 at its range), which gives a closed-form sin^2-shaped return.  Fog adds a
 distributed "soft" target (a step response filling the line of sight up to
 the object) whose return has no closed form and is evaluated here with
-composite Simpson quadrature.
+composite Simpson quadrature, for a whole array of ranges in one batched
+pass (`soft_response_integrals`); the one-range `soft_response_integral`
+is a call of that pass, so both give the same bits.
 
-All arithmetic is 64-bit and every function accepts scalars or numpy arrays.
+All arithmetic is 64-bit and every function accepts scalars or numpy arrays,
+except the soft-return evaluators, which take a float or a 1-D array.
 Functions in this module are pure; `SensorModel` and `FogParams` are frozen
 and safe to share across threads.
 """
@@ -33,6 +36,11 @@ DEFAULT_SUBINTERVALS = 40      # Simpson subintervals per smooth panel
 # crossover end where the 1/x^2 factor is steep.  sqrt(2) keeps the
 # composite rule inside 1e-6 relative error at 40 subintervals per panel.
 _PANEL_GROWTH = float(np.sqrt(2.0))
+
+# Ranges per block of the batched soft-return evaluator: at the default
+# sensor and subintervals 256 ranges make at most ~800 panels of 41 nodes,
+# so each temporary array stays near 260 kB.
+_BLOCK_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -224,20 +232,107 @@ def _simpson_weights(n: int) -> np.ndarray:
     return w
 
 
-def _panel_edges(x_lo: float, x_hi: float, r2: float) -> list:
-    """Cut ranges for the quadrature panels, descending from x_hi to x_lo.
+def _panel_ladder(x_max: float, r2: float) -> np.ndarray:
+    """Panel cuts r2, r2*sqrt(2), ... below x_max, in ascending order.
 
     Panels are delimited by the crossover end r2 and a sqrt(2)-geometric
     ladder above it, so each panel sees a bounded variation of the 1/x^2
     factor and the composite rule keeps full order through the ramp kink.
+    The cuts come from repeated products, so every range sees the same
+    floating-point cut values.
     """
     cuts = []
     x = r2
-    while x < x_hi:
-        if x > x_lo:
-            cuts.append(x)
+    while x < x_max:
+        cuts.append(x)
         x *= _PANEL_GROWTH
-    return [x_hi] + cuts[::-1] + [x_lo]
+    return np.array(cuts)
+
+
+def _soft_block(r: np.ndarray, fog: FogParams, sensor: SensorModel,
+                w: np.ndarray, hard_range: Optional[float]) -> np.ndarray:
+    """`soft_response_integrals` for one block of ranges."""
+    out = np.zeros(len(r))
+    x_hi = r if hard_range is None else np.minimum(r, hard_range)
+    x_lo = np.maximum(sensor.r1, r - sensor.pulse_span)
+    live = x_hi > x_lo
+    if not live.any():
+        return out
+    r, x_hi, x_lo = r[live], x_hi[live], x_lo[live]
+
+    # each range's panel edges, descending: x_hi, the ladder cuts strictly
+    # inside (x_lo, x_hi), x_lo; flattened range after range
+    ladder = _panel_ladder(float(x_hi.max()), sensor.r2)[::-1]
+    keep = np.ones((len(r), len(ladder) + 2), dtype=bool)
+    keep[:, 1:-1] = (ladder > x_lo[:, None]) & (ladder < x_hi[:, None])
+    grid = np.empty(keep.shape)
+    grid[:, 0] = x_hi
+    grid[:, 1:-1] = ladder
+    grid[:, -1] = x_lo
+    edges = grid[keep]
+    n_edges = keep.sum(axis=1)
+    is_panel = np.ones(len(edges) - 1, dtype=bool)
+    is_panel[np.cumsum(n_edges)[:-1] - 1] = False  # one range's x_lo -> the next's x_hi
+    n_panels = n_edges - 1
+    first = np.cumsum(n_panels) - n_panels  # index of each range's first panel
+    xa = edges[:-1][is_panel]
+    xb = edges[1:][is_panel]
+    rp = np.repeat(r, n_panels)
+
+    # one Simpson rule per panel, on the lag interval [a, b] it maps to
+    n = len(w) - 1
+    a = 2.0 * (rp - xa) / sensor.c
+    b = 2.0 * (rp - xb) / sensor.c
+    h = (b - a) / n
+    t = a[:, None] + h[:, None] * np.arange(n + 1)
+    y = soft_integrand(t, rp[:, None], fog, sensor)
+    # row by row: a batched product may sum in another order
+    dots = np.fromiter(map(w.dot, y), dtype=np.float64, count=len(y))
+    terms = (h / 3.0) * dots
+
+    total = np.zeros(len(r))
+    for j in range(int(n_panels.max())):  # panel order, descending in range
+        has = n_panels > j
+        total[has] += terms[first[has] + j]
+    out[live] = total
+    return out
+
+
+def soft_response_integrals(
+    r,
+    fog: FogParams,
+    sensor: SensorModel,
+    subintervals: int = DEFAULT_SUBINTERVALS,
+    hard_range: Optional[float] = None,
+) -> np.ndarray:
+    """Composite-Simpson values of the soft-return time integral at ranges r.
+
+    Integrates `soft_integrand` over the pulse support [0, 2*tau_h] with
+    `subintervals` Simpson subintervals per smooth panel (see
+    `_panel_ladder`).  Zero exactly for r <= r1, where the integrand has no
+    support.  `hard_range` truncates contributions from scattering beyond
+    the hard target; it only matters when evaluating at r > hard_range
+    (response-curve plotting), never on the per-point grid r <= hard_range.
+
+    `r` is a 1-D array.  Every range goes through the same elementwise
+    arithmetic and the same per-panel dot product whatever the batch, so
+    each value is bitwise independent of the other ranges in the call.
+    Ranges are evaluated in blocks of `_BLOCK_SIZE` to bound temporaries.
+
+    Doubling `subintervals` from the default changes results by less than
+    1e-6 relative over the working range.
+    """
+    if subintervals < 2 or subintervals % 2 != 0:
+        raise ValueError(f"subintervals must be even and >= 2, got {subintervals}")
+    r = np.asarray(r, dtype=np.float64)
+    if hard_range is not None:
+        hard_range = float(hard_range)
+    w = _simpson_weights(subintervals)
+    out = np.empty(len(r))
+    for lo in range(0, len(r), _BLOCK_SIZE):
+        out[lo:lo + _BLOCK_SIZE] = _soft_block(r[lo:lo + _BLOCK_SIZE], fog, sensor,
+                                               w, hard_range)
+    return out
 
 
 def soft_response_integral(
@@ -246,34 +341,6 @@ def soft_response_integral(
     sensor: SensorModel,
     subintervals: int = DEFAULT_SUBINTERVALS,
     hard_range: Optional[float] = None,
-):
-    """Composite-Simpson value of the soft-return time integral at range r.
-
-    Integrates `soft_integrand` over the pulse support [0, 2*tau_h] with
-    `subintervals` Simpson subintervals per smooth panel (see
-    `_panel_edges`).  Zero exactly for r <= r1, where the integrand has no
-    support.  `hard_range` truncates contributions from scattering beyond
-    the hard target; it only matters when evaluating at r > hard_range
-    (response-curve plotting), never on the per-point grid r <= hard_range.
-
-    Doubling `subintervals` from the default changes results by less than
-    1e-6 relative over the working range.
-    """
-    if subintervals < 2 or subintervals % 2 != 0:
-        raise ValueError(f"subintervals must be even and >= 2, got {subintervals}")
-    r = float(r)
-    x_hi = r if hard_range is None else min(r, float(hard_range))
-    x_lo = max(sensor.r1, r - sensor.pulse_span)
-    if x_hi <= x_lo:
-        return 0.0
-    w = _simpson_weights(subintervals)
-    edges = _panel_edges(x_lo, x_hi, sensor.r2)
-    total = 0.0
-    for xa, xb in zip(edges[:-1], edges[1:]):
-        a = 2.0 * (r - xa) / sensor.c
-        b = 2.0 * (r - xb) / sensor.c
-        h = (b - a) / subintervals
-        t = a + h * np.arange(subintervals + 1)
-        y = soft_integrand(t, r, fog, sensor)
-        total += (h / 3.0) * float(np.dot(w, y))
-    return total
+) -> float:
+    """`soft_response_integrals` at the single range r, as a float."""
+    return float(soft_response_integrals([float(r)], fog, sensor, subintervals, hard_range)[0])

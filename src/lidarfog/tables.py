@@ -4,25 +4,23 @@ The per-point algorithm scans the whole 10 cm range grid up to each point's
 range and takes the running maximum of the soft-return integral.  The
 integral does not depend on the point itself (only on alpha and the sensor),
 so one table per (alpha, sensor) pair serves every point: tabulate the
-integral once, keep prefix-maximum and prefix-argmax arrays, and each point
-query becomes a single indexed lookup that matches the naive scan bit for
-bit.
-
-Tables can be persisted to a small binary sidecar; a corrupt or mismatched
-cache silently falls back to a rebuild.
+integral once, in one batched `soft_response_integrals` call, keep
+prefix-maximum and prefix-argmax arrays, and each point query becomes a
+single indexed lookup that matches the naive scan bit for bit.
 """
 
-import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .optics import DEFAULT_SUBINTERVALS, FogParams, SensorModel, soft_response_integral
-
-TABLE_MAGIC = b"FOGT"
-TABLE_VERSION = 1
-_HEADER = struct.Struct("<4sIddQQ")  # magic, version, alpha, grid_step, count, fingerprint
+from .optics import (
+    DEFAULT_SUBINTERVALS,
+    FogParams,
+    SensorModel,
+    soft_response_integral,
+    soft_response_integrals,
+)
 
 DEFAULT_MAX_ENTRIES = 1_000_000
 
@@ -96,9 +94,10 @@ def build_table(
 ) -> SoftResponseTable:
     """Tabulate the soft-return integral over (0, max_range] at range_step.
 
-    Every entry is produced by the same `soft_response_integral` call a
-    direct evaluation would make, so table lookups are bitwise identical to
-    the naive per-point scan.
+    All entries come from one `soft_response_integrals` call, whose values
+    do not depend on the batch, so each entry equals the scalar
+    `soft_response_integral` at its range bit for bit and table lookups are
+    bitwise identical to the naive per-point scan.
     """
     step = sensor.range_step
     n = int(np.ceil(sensor.max_range / step))
@@ -107,9 +106,7 @@ def build_table(
             f"table would need {n} entries (cap {max_entries}); "
             "raise range_step or the cap"
         )
-    values = np.empty(n, dtype=np.float64)
-    for k in range(1, n + 1):
-        values[k - 1] = soft_response_integral(k * step, fog, sensor, subintervals)
+    values = soft_response_integrals(np.arange(1, n + 1) * step, fog, sensor, subintervals)
     pm, am = _prefix_max_argmax(values, step)
     for arr in (values, pm, am):
         arr.setflags(write=False)
@@ -127,9 +124,14 @@ def query_soft_max(table: SoftResponseTable, r0: float):
     """Maximum soft return over the grid up to r0 and the range achieving it.
 
     Returns (i_tmp, r_tmp).  The grid is snapped down: k = floor(r0 /
-    grid_step); with no grid point at or below r0 the result is (0.0, 0.0),
-    meaning "no soft contribution".  Equals the naive scan of the grid
-    exactly, bit for bit.
+    grid_step), with the division done in floating point.  That k can be one
+    less than the largest k with k * grid_step <= r0: r0 = 4.3 = 43 * 0.1
+    reads entry 42, as do 98 of the 2000 grid ranges k * 0.1.  A decimal r0
+    also often reads the entry below its decimal index (0.3 / 0.1 is
+    2.9999999999999996): 697 of the literals 0.1, 0.2, ..., 200.0 do.
+    `naive_soft_max` and the per-point transform snap the same way.  With
+    k < 1 the result is (0.0, 0.0), meaning "no soft contribution".  Equals
+    the naive scan of the grid exactly, bit for bit.
     """
     if not r0 > 0.0:
         raise ValueError(f"query range must be positive, got {r0}")
@@ -164,82 +166,3 @@ def naive_soft_max(
             best = v
             best_r = r
     return best, best_r
-
-
-def save_table(table: SoftResponseTable, path) -> None:
-    """Write the binary sidecar: header + raw float64 values."""
-    header = _HEADER.pack(
-        TABLE_MAGIC,
-        TABLE_VERSION,
-        table.alpha,
-        table.grid_step,
-        table.n_entries,
-        table.sensor_fingerprint,
-    )
-    tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(header)
-        fh.write(table.values.astype("<f8").tobytes())
-    os.replace(tmp, path)
-
-
-def load_table(path, expected_alpha: float, expected_fingerprint: int):
-    """Load a sidecar table; None when missing, corrupt, or mismatched."""
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError:
-        return None
-    if len(raw) < _HEADER.size:
-        return None
-    magic, version, alpha, step, count, fp = _HEADER.unpack_from(raw)
-    if magic != TABLE_MAGIC or version != TABLE_VERSION:
-        return None
-    if alpha != expected_alpha or fp != expected_fingerprint:
-        return None
-    body = raw[_HEADER.size:]
-    if len(body) != count * 8:
-        return None
-    values = np.frombuffer(body, dtype="<f8").astype(np.float64)
-    if not np.all(np.isfinite(values)) or np.any(values < 0):
-        return None
-    pm, am = _prefix_max_argmax(values, step)
-    for arr in (values, pm, am):
-        arr.setflags(write=False)
-    return SoftResponseTable(
-        alpha=alpha,
-        grid_step=step,
-        values=values,
-        prefix_max=pm,
-        prefix_argmax=am,
-        sensor_fingerprint=fp,
-    )
-
-
-def cache_path(cache_dir, fog: FogParams, sensor: SensorModel,
-               subintervals: int = DEFAULT_SUBINTERVALS) -> str:
-    fp = sensor_fingerprint(sensor, subintervals)
-    return os.path.join(cache_dir, f"soft_table_a{fog.alpha:.6g}_{fp:016x}.fogt")
-
-
-def load_or_build(
-    fog: FogParams,
-    sensor: SensorModel,
-    cache_dir=None,
-    subintervals: int = DEFAULT_SUBINTERVALS,
-) -> SoftResponseTable:
-    """Fetch the table from the cache directory, rebuilding (and re-caching)
-    on any miss or mismatch."""
-    if cache_dir is None:
-        return build_table(fog, sensor, subintervals)
-    path = cache_path(cache_dir, fog, sensor, subintervals)
-    table = load_table(path, fog.alpha, sensor_fingerprint(sensor, subintervals))
-    if table is not None:
-        return table
-    table = build_table(fog, sensor, subintervals)
-    try:
-        os.makedirs(cache_dir, exist_ok=True)
-        save_table(table, path)
-    except OSError:
-        pass  # cache is best-effort
-    return table

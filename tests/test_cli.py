@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import lidarfog
 from lidarfog import DEFAULT_ALPHA_SCHEDULE, sample_alpha
 from lidarfog.cli import main
 from lidarfog.rng import stable_key64, uniform01
@@ -265,3 +269,14 @@ class TestHelp:
             text = capsys.readouterr().out
             for flag in flags:
                 assert flag in text, f"{cmd} help missing {flag}"
+
+
+class TestImports:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        # scipy serves only `intersect`; importing it costs every command ~0.3 s
+        src = os.path.dirname(os.path.dirname(lidarfog.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import lidarfog.cli, sys; assert 'scipy' not in sys.modules"
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr

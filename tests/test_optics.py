@@ -15,6 +15,8 @@ from lidarfog import (
     transmission,
     transmit_pulse,
 )
+from lidarfog import optics
+from lidarfog.optics import soft_response_integrals
 
 from oracles import soft_integral_quad, soft_integrand_scalar
 
@@ -241,6 +243,89 @@ class TestSoftResponseIntegral:
         assert past == pytest.approx(ref, rel=1e-6)
         # everything scattered back from beyond the target: no contribution
         assert soft_response_integral(36.1, fog06, sensor, hard_range=30.0) == 0.0
+
+
+def loop_reference(r, fog, sensor, subintervals=40, hard_range=None):
+    """One range, one Simpson panel at a time: the per-range loop that
+    `soft_response_integrals` batches, with the same arithmetic."""
+    x_hi = r if hard_range is None else min(r, hard_range)
+    x_lo = max(sensor.r1, r - sensor.pulse_span)
+    if x_hi <= x_lo:
+        return 0.0
+    cuts = []
+    x = sensor.r2
+    while x < x_hi:
+        if x > x_lo:
+            cuts.append(x)
+        x *= float(np.sqrt(2.0))
+    edges = [x_hi] + cuts[::-1] + [x_lo]
+    w = np.ones(subintervals + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    total = 0.0
+    for xa, xb in zip(edges[:-1], edges[1:]):
+        a = 2.0 * (r - xa) / sensor.c
+        b = 2.0 * (r - xb) / sensor.c
+        h = (b - a) / subintervals
+        t = a + h * np.arange(subintervals + 1)
+        total += (h / 3.0) * float(np.dot(w, soft_integrand(t, r, fog, sensor)))
+    return total
+
+
+def ladder_cut(sensor, k):
+    x = sensor.r2
+    for _ in range(k):
+        x *= float(np.sqrt(2.0))
+    return x
+
+
+def onto(x, span):
+    """A float r with r - span == x exactly (exists only for some x)."""
+    r = x + span
+    for cand in (r, *(r + d * np.spacing(r) for d in (-1, 1, -2, 2, -3, 3))):
+        if cand - span == x:
+            return float(cand)
+    raise AssertionError(f"no float r with r - {span} == {x}")
+
+
+class TestSoftResponseIntegrals:
+    """The batched evaluator equals per-range evaluation bit for bit."""
+
+    @pytest.mark.parametrize("block", [1, 64, optics._BLOCK_SIZE])
+    def test_batches_match_loop_reference(self, fog06, sensor, monkeypatch, block):
+        monkeypatch.setattr(optics, "_BLOCK_SIZE", block)
+        grid = np.arange(1, 2001) * sensor.range_step  # crosses block boundaries
+        ref = [loop_reference(float(r), fog06, sensor) for r in grid]
+        assert soft_response_integrals(grid, fog06, sensor).tolist() == ref
+        assert soft_response_integrals(grid[40:47], fog06, sensor).tolist() == ref[40:47]
+        assert soft_response_integrals(grid[1234:1235], fog06, sensor).tolist() == ref[1234:1235]
+        assert [soft_response_integral(r, fog06, sensor) for r in grid[::97]] == ref[::97]
+
+    def test_panel_boundary_ranges(self, fog06, sensor):
+        span = sensor.pulse_span
+        cuts = [ladder_cut(sensor, k) for k in range(12)]
+        r = [0.05, 0.5, sensor.r1, 0.95, sensor.r2, 1.03,       # <= r1, ramp, r2
+             *cuts[1:],                                       # exactly on a cut
+             onto(sensor.r2, span),                           # window starts on r2
+             *(onto(cuts[k], span) for k in (5, 6, 9, 10, 11))]  # ... on a cut
+        for subintervals in (40, 80):
+            got = soft_response_integrals(r, fog06, sensor, subintervals)
+            ref = [loop_reference(x, fog06, sensor, subintervals) for x in r]
+            assert got.tolist() == ref
+        assert got[0] == got[1] == got[2] == 0.0 and got[3] > 0.0
+
+    def test_hard_range_below_at_and_above(self, fog06, sensor):
+        span = sensor.pulse_span
+        cut = ladder_cut(sensor, 9)
+        for hard in (30.0, cut, 3.0):
+            r = [hard - 2.0, hard, np.nextafter(hard, 99.0), hard + 1.0, hard + 2.5,
+                 onto(hard, span), hard + span + 0.1]
+            got = soft_response_integrals(r, fog06, sensor, hard_range=hard)
+            ref = [loop_reference(x, fog06, sensor, hard_range=hard) for x in r]
+            assert got.tolist() == ref
+            assert got[-2] == got[-1] == 0.0  # every slab beyond the target
+            assert [soft_response_integral(x, fog06, sensor, hard_range=hard)
+                    for x in r] == ref
 
 
 class TestConvolutionEquivalence:

@@ -3,20 +3,19 @@ import pytest
 
 from lidarfog import (
     FogParams,
+    Point,
+    Provenance,
     SensorModel,
+    SoftResponseTable,
     build_table,
-    load_or_build,
+    fog_from_alpha,
+    foggify_point,
     naive_soft_max,
     query_soft_max,
     soft_response_integral,
 )
-from lidarfog.tables import (
-    _prefix_max_argmax,
-    cache_path,
-    load_table,
-    save_table,
-    sensor_fingerprint,
-)
+from lidarfog import tables
+from lidarfog.tables import _prefix_max_argmax, sensor_fingerprint
 
 from oracles import naive_running_max
 
@@ -111,6 +110,28 @@ class TestQuery:
             _, r_tmp = query_soft_max(table06, float(r0))
             assert r_tmp <= r0
 
+    def test_snap_down_index_shared(self, sensor, monkeypatch):
+        # strictly increasing entries make the chosen entry visible everywhere
+        step = sensor.range_step
+        values = np.arange(1, 2001) * step
+        pm, am = _prefix_max_argmax(values, step)
+        fog = fog_from_alpha(0.06)
+        table = SoftResponseTable(fog.alpha, step, values, pm, am, sensor_fingerprint(sensor))
+        monkeypatch.setattr(tables, "soft_response_integral", lambda r, *args: r)
+        below = {"product": 0, "literal": 0}
+        for k in range(1, 2001):
+            for kind, r0 in (("product", k * step), ("literal", float(f"{k // 10}.{k % 10}"))):
+                entry = int(r0 / step)  # floor in floating point
+                chosen = (entry * step, entry * step)
+                assert query_soft_max(table, r0) == chosen
+                assert naive_soft_max(r0, fog, sensor) == chosen
+                # a median draw puts a relocated point exactly on r_tmp
+                p, tag = foggify_point(Point(r0, 0.0, 0.0, 50.0), fog, sensor, table, 0.5)
+                assert tag == Provenance.SOFT_REPLACED and p.x == chosen[1]
+                below[kind] += entry == k - 1
+        assert below == {"product": 98, "literal": 697}
+        assert query_soft_max(table, 4.3)[1] == 42 * step
+
     def test_saturation_beyond_peak(self, sensor):
         for alpha in (0.02, 0.03, 0.06):
             fog = FogParams(alpha=alpha, beta=0.0)
@@ -119,43 +140,6 @@ class TestQuery:
 
 
 class TestCache:
-    def test_roundtrip_bitwise(self, table06, fog06, sensor, tmp_path):
-        path = tmp_path / "t.fogt"
-        save_table(table06, path)
-        loaded = load_table(path, fog06.alpha, sensor_fingerprint(sensor))
-        assert loaded is not None
-        assert np.array_equal(loaded.values, table06.values)
-        assert np.array_equal(loaded.prefix_max, table06.prefix_max)
-        assert np.array_equal(loaded.prefix_argmax, table06.prefix_argmax)
-        assert loaded.sensor_fingerprint == table06.sensor_fingerprint
-
-    def test_missing_file(self, fog06, sensor, tmp_path):
-        assert load_table(tmp_path / "nope.fogt", fog06.alpha, sensor_fingerprint(sensor)) is None
-
-    def test_corruption_detected(self, table06, fog06, sensor, tmp_path):
-        fp = sensor_fingerprint(sensor)
-        path = tmp_path / "t.fogt"
-        save_table(table06, path)
-        raw = path.read_bytes()
-        (tmp_path / "trunc.fogt").write_bytes(raw[:100])
-        assert load_table(tmp_path / "trunc.fogt", fog06.alpha, fp) is None
-        (tmp_path / "magic.fogt").write_bytes(b"XXXX" + raw[4:])
-        assert load_table(tmp_path / "magic.fogt", fog06.alpha, fp) is None
-        assert load_table(path, 0.03, fp) is None          # wrong alpha
-        assert load_table(path, fog06.alpha, fp ^ 1) is None  # wrong fingerprint
-
-    def test_load_or_build_uses_cache(self, fog06, sensor, tmp_path):
-        first = load_or_build(fog06, sensor, cache_dir=tmp_path)
-        assert (tmp_path / cache_path(tmp_path, fog06, sensor).split("/")[-1]).exists()
-        second = load_or_build(fog06, sensor, cache_dir=tmp_path)
-        assert np.array_equal(first.values, second.values)
-
-    def test_load_or_build_survives_corrupt_cache(self, fog06, sensor, tmp_path):
-        path = cache_path(tmp_path, fog06, sensor)
-        (tmp_path / path.split("/")[-1]).write_bytes(b"garbage")
-        table = load_or_build(fog06, sensor, cache_dir=tmp_path)
-        assert table.n_entries == 2000
-
     def test_fingerprint_sensitive_to_sensor(self):
         a = sensor_fingerprint(SensorModel())
         b = sensor_fingerprint(SensorModel(tau_h=10e-9))
