@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -78,8 +77,6 @@ def _add_sensor_flags(p):
                    help=f"crossover ramp start [m] (default: {s.r1})")
     p.add_argument("--r2", type=float, default=s.r2,
                    help=f"crossover ramp end [m] (default: {s.r2})")
-    p.add_argument("--peak-correction", action="store_true",
-                   help="report response maxima shifted by -c*tau_h/2")
 
 
 def _add_fog_flags(p, with_alpha=True):
@@ -92,9 +89,15 @@ def _add_fog_flags(p, with_alpha=True):
                    help="hard-target differential reflectivity [1/sr] (default: 1e-6/pi)")
 
 
-def _sensor_from_args(args) -> SensorModel:
+def _sensor_from_args(args, peak_correction: bool = False) -> SensorModel:
     return SensorModel(tau_h=args.tau_h, r1=args.r1, r2=args.r2,
-                       peak_correction=args.peak_correction)
+                       peak_correction=peak_correction)
+
+
+def _workers_from_args(args):
+    if args.workers is not None and args.workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
+    return args.workers
 
 
 def _fog_from_args(args) -> FogParams:
@@ -141,10 +144,13 @@ def cmd_simulate(args) -> int:
     fog = _fog_from_args(args)
     sensor = _sensor_from_args(args)
     fmt = _fmt_from_args(args)
+    workers = _workers_from_args(args)
     cloud = read_cloud(args.input, fmt, allow_nonfinite=args.allow_nonfinite)
+    if len(cloud) == 0:
+        raise MalformedFileError(f"{args.input}: no points to foggify")
     t0 = time.perf_counter()
     outcome = foggify_cloud(cloud, fog, sensor, seed=args.seed,
-                            rescale=not args.no_rescale, workers=args.workers)
+                            rescale=not args.no_rescale, workers=workers)
     runtime_ms = (time.perf_counter() - t0) * 1e3
     write_cloud(outcome.cloud, args.output, fmt)
     if args.stats:
@@ -162,71 +168,56 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     sensor = _sensor_from_args(args)
     fmt = _fmt_from_args(args)
+    workers = _workers_from_args(args) or os.cpu_count() or 1
     schedule = [float(v) for v in args.alphas.split(",") if v.strip() != ""]
     if not schedule:
         raise ValueError("--alphas schedule is empty")
     names = sorted(n for n in os.listdir(args.input_dir) if n.endswith("." + args.format))
     if not names:
         raise ValueError(f"no .{args.format} files in {args.input_dir}")
+
+    # plan: each file's alpha is a pure function of (seed, name), so every
+    # fog is checked and every table built before any file is opened
+    keys = {name: stable_key64(name) for name in names}
+    drawn = {name: sample_alpha(schedule, uniform01(args.seed, keys[name])) for name in names}
+    fogs = {a: fog_from_alpha(a, beta=args.beta, beta_0=args.beta0) for a in schedule}
+    tables = {a: build_table(fogs[a], sensor) for a in set(drawn.values())}
     os.makedirs(args.output_dir, exist_ok=True)
 
-    fogs = {}
-    tables = {}
-    lock = threading.Lock()
-
-    def fog_and_table(alpha: float):
-        with lock:
-            if alpha not in tables:
-                fog = fog_from_alpha(alpha, beta=args.beta, beta_0=args.beta0)
-                fogs[alpha] = fog
-                tables[alpha] = build_table(fog, sensor)
-            return fogs[alpha], tables[alpha]
-
     def process(name: str):
-        alpha = sample_alpha(schedule, uniform01(args.seed, stable_key64(name)))
-        fog, table = fog_and_table(alpha)
-        cloud = read_cloud(os.path.join(args.input_dir, name), fmt,
-                           allow_nonfinite=args.allow_nonfinite)
-        file_seed = args.seed ^ stable_key64(name)
-        outcome = foggify_cloud(cloud, fog, sensor, seed=file_seed,
-                                rescale=not args.no_rescale, table=table, workers=1)
-        write_cloud(outcome.cloud, os.path.join(args.output_dir, name), fmt)
-        return alpha
-
-    workers = args.workers or min(len(names), os.cpu_count() or 1)
-    drawn = {}
-    failures = {}
-
-    def safe(name):
+        """Foggify one file; returns None or the error that stopped it."""
+        alpha = drawn[name]
         try:
-            drawn[name] = process(name)
+            cloud = read_cloud(os.path.join(args.input_dir, name), fmt,
+                               allow_nonfinite=args.allow_nonfinite)
+            outcome = foggify_cloud(cloud, fogs[alpha], sensor, seed=args.seed ^ keys[name],
+                                    rescale=not args.no_rescale, table=tables[alpha],
+                                    workers=1)
+            write_cloud(outcome.cloud, os.path.join(args.output_dir, name), fmt)
         except Exception as exc:  # keep the batch going
-            failures[name] = str(exc)
             print(f"error: {name}: {exc}", file=sys.stderr)
+            return str(exc)
+        return None
 
-    if workers <= 1:
-        for name in names:
-            safe(name)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(safe, names))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        failures = {n: e for n, e in zip(names, pool.map(process, names)) if e is not None}
 
     manifest = {
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "seed": args.seed,
         "schedule": schedule,
-        "files": {n: drawn[n] for n in sorted(drawn)},
-        "failures": {n: failures[n] for n in sorted(failures)},
+        "files": {n: drawn[n] for n in names if n not in failures},
+        "failures": failures,
     }
     _write_json(os.path.join(args.output_dir, MANIFEST_NAME), manifest)
-    print(f"{len(drawn)} file(s) processed, {len(failures)} failed; "
+    print(f"{len(names) - len(failures)} file(s) processed, {len(failures)} failed; "
           f"manifest at {os.path.join(args.output_dir, MANIFEST_NAME)}")
     return 1 if failures else 0
 
 
 def cmd_response(args) -> int:
     fog = _fog_from_args(args)
-    sensor = _sensor_from_args(args)
+    sensor = _sensor_from_args(args, peak_correction=args.peak_correction)
     r0 = args.r0
     if not r0 > sensor.r2:
         raise ValueError(f"--r0 must exceed the crossover end r2={sensor.r2}")
@@ -315,6 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: implied by intensity 100 at r0)")
     _add_fog_flags(p)
     _add_sensor_flags(p)
+    p.add_argument("--peak-correction", action="store_true",
+                   help="report response maxima shifted by -c*tau_h/2")
     _add_common_flags(p)
     p.set_defaults(func=cmd_response)
 
@@ -366,10 +359,7 @@ def main(argv=None) -> int:
         argv = _apply_config_file(argv)
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except MalformedFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (MalformedFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -12,6 +12,7 @@ processed in fixed-size blocks, so results are bit-identical regardless of
 worker count or point order.
 """
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -29,7 +30,7 @@ from .optics import (
     hard_peak_intensity,
 )
 from .rng import uniform01
-from .tables import SoftResponseTable, build_table
+from .tables import SoftResponseTable, build_table, sensor_fingerprint
 
 # training-style attenuation schedule: clear air through dense fog (MOR 50 m)
 DEFAULT_ALPHA_SCHEDULE = (0.0, 0.005, 0.01, 0.02, 0.03, 0.06)
@@ -168,13 +169,15 @@ def _transform_block(x, y, z, inten, draws, fog: FogParams, sensor: SensorModel,
     """Vectorized per-point transform; the single source of truth.
 
     Returns (x_out, y_out, z_out, i_out, soft_mask, skipped_mask).  Skipped
-    points (zero/overlong range, non-finite coordinates or intensity) pass
-    through unchanged.  The table entry is floor(r0 / grid_step), computed in
-    floating point as in `query_soft_max`, so it can be one below the
-    largest k with k * grid_step <= r0 (r0 = 4.3 reads entry 42).
+    points (zero/overlong range, non-finite coordinates, negative or
+    non-finite intensity) pass through unchanged.  The table entry is
+    floor(r0 / grid_step), computed in floating point as in
+    `query_soft_max`, so it can be one below the largest k with
+    k * grid_step <= r0 (r0 = 4.3 reads entry 42).
     """
     r0 = np.sqrt(x * x + y * y + z * z)
-    valid = np.isfinite(r0) & (r0 > 0.0) & (r0 <= sensor.max_range) & np.isfinite(inten)
+    # the comparisons are False for NaN, so they also reject non-finite values
+    valid = (r0 > 0.0) & (r0 <= sensor.max_range) & (inten >= 0.0) & (inten < np.inf)
     # sanitized copies keep the dead lanes free of stray inf/nan arithmetic
     r0s = np.where(valid, r0, 1.0)
     inten_s = np.where(valid, inten, 0.0)
@@ -201,11 +204,22 @@ def _transform_block(x, y, z, inten, draws, fog: FogParams, sensor: SensorModel,
     return x_out, y_out, z_out, i_out, soft, ~valid
 
 
-def _check_table(table: SoftResponseTable, fog: FogParams):
+def _check_table(table: SoftResponseTable, fog: FogParams, sensor: SensorModel):
     if table.alpha != fog.alpha:
         raise ValueError(
             f"table was built for alpha={table.alpha}, fog has alpha={fog.alpha}"
         )
+    if table.sensor_fingerprint != sensor_fingerprint(sensor):
+        raise ValueError("table was built for another sensor (fingerprint mismatch)")
+
+
+def _finite_stats(a: np.ndarray):
+    """(min, max, mean) of the finite entries of `a` (NaN if none); no extra pass if clean."""
+    stats = (float(a.min()), float(a.max()), float(a.mean()))
+    if all(map(math.isfinite, stats)):
+        return stats
+    a = a[np.isfinite(a)]
+    return (float(a.min()), float(a.max()), float(a.mean())) if a.size else (math.nan,) * 3
 
 
 def foggify_point(p: Point, fog: FogParams, sensor: SensorModel,
@@ -213,12 +227,12 @@ def foggify_point(p: Point, fog: FogParams, sensor: SensorModel,
     """Transform one point; returns (Point, Provenance).
 
     `noise_draw` in [0, 1) drives the range jitter of a relocated point.
-    Degenerate inputs (zero range, non-finite values, range beyond
-    max_range) come back unchanged and tagged HARD_KEPT.
+    Degenerate inputs (zero range, non-finite values, negative intensity,
+    range beyond max_range) come back unchanged and tagged HARD_KEPT.
     """
     if not 0.0 <= noise_draw < 1.0:
         raise ValueError(f"noise_draw must lie in [0, 1), got {noise_draw}")
-    _check_table(table, fog)
+    _check_table(table, fog, sensor)
     x, y, z, i, soft, _ = _transform_block(
         np.array([p.x]), np.array([p.y]), np.array([p.z]),
         np.array([p.intensity]), np.array([noise_draw]),
@@ -244,15 +258,16 @@ def foggify_cloud(
     With `rescale`, intensities are scaled by one per-cloud linear factor so
     the maximum reaches `cloud.intensity_scale` (mimicking a sensor gain
     stage that always fills the value range); ratios between points are
-    preserved.  Output is bit-identical for identical (cloud, fog, sensor,
-    seed) regardless of `workers`.
+    preserved.  The rescale maximum and the intensity stats are taken over
+    finite values only.  Output is bit-identical for identical (cloud, fog,
+    sensor, seed) regardless of `workers`.
     """
     n = len(cloud)
     if n == 0:
         raise ValueError("cannot foggify an empty point cloud")
     if table is None:
         table = build_table(fog, sensor)
-    _check_table(table, fog)
+    _check_table(table, fog, sensor)
 
     x = np.ascontiguousarray(cloud.xyz[:, 0])
     y = np.ascontiguousarray(cloud.xyz[:, 1])
@@ -285,24 +300,16 @@ def foggify_cloud(
 
     rescale_factor = 1.0
     max_out = float(io.max())
+    if not math.isfinite(max_out):  # NaN or inf passed through by skipped points
+        max_out = float(io[np.isfinite(io)].max(initial=0.0))
     if rescale and max_out > 0.0:
         io = (io / max_out) * cloud.intensity_scale
         rescale_factor = cloud.intensity_scale / max_out
 
     n_soft = int(np.count_nonzero(soft))
-    stats = CloudStats(
-        n_points=n,
-        n_soft_replaced=n_soft,
-        n_skipped=int(np.count_nonzero(skipped)),
-        fraction_replaced=n_soft / n,
-        intensity_in_min=float(np.min(inten)),
-        intensity_in_max=float(np.max(inten)),
-        intensity_in_mean=float(np.mean(inten)),
-        intensity_out_min=float(np.min(io)),
-        intensity_out_max=float(np.max(io)),
-        intensity_out_mean=float(np.mean(io)),
-        rescale_factor=rescale_factor,
-    )
+    # fields in declaration order: counts, intensity in and out (min, max, mean), factor
+    stats = CloudStats(n, n_soft, int(np.count_nonzero(skipped)), n_soft / n,
+                       *_finite_stats(inten), *_finite_stats(io), rescale_factor)
     out = PointCloud(np.column_stack((xo, yo, zo)), io,
                      cloud.intensity_scale, cloud.frame_id)
     provenance = soft.astype(np.uint8)

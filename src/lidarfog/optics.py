@@ -101,10 +101,10 @@ class FogParams:
     mor: Optional[float] = None
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if self.beta < 0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
+        if not 0 <= self.alpha < np.inf:
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
+        if not 0 <= self.beta < np.inf:
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
         if not 0 < self.beta_0 <= 1.0 / np.pi:
             raise ValueError(f"beta_0 must lie in (0, 1/pi], got {self.beta_0}")
         if self.mor is not None:

@@ -94,6 +94,27 @@ class TestSimulate:
         assert main(base + ["--alpha", "-1"]) == 2   # invalid value
         assert main(base + ["--alpha", "0.06", "--r1", "2", "--r2", "1"]) == 2
 
+    def test_empty_input_exits_1_and_names_file(self, tmp_path, capsys):
+        empty = tmp_path / "empty.bin"
+        empty.write_bytes(b"")
+        rc = main(["simulate", "--input", str(empty),
+                   "--output", str(tmp_path / "o.bin"), "--alpha", "0.06"])
+        assert rc == 1
+        assert str(empty) in capsys.readouterr().err
+
+    def test_workers_below_one_exit_2(self, tmp_path, cloud_file):
+        base = ["simulate", "--input", str(cloud_file), "--output", str(tmp_path / "o.bin"),
+                "--alpha", "0.06", "--workers"]
+        assert main(base + ["0"]) == 2
+        assert main(base + ["-3"]) == 2
+        assert not (tmp_path / "o.bin").exists()
+
+    def test_peak_correction_rejected(self, tmp_path, cloud_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--input", str(cloud_file), "--output", str(tmp_path / "o.bin"),
+                  "--alpha", "0.06", "--peak-correction"])
+        assert exc.value.code == 2
+
     def test_config_file_with_flag_override(self, tmp_path, cloud_file):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("alpha = 0.06\nseed = 9\nno-rescale = true\n# comment\n")
@@ -155,6 +176,51 @@ class TestSweep:
         assert len(manifest["files"]) == 4
         assert "broken.bin" in manifest["failures"]
         assert "broken.bin" in capsys.readouterr().err
+
+    def test_empty_file_is_a_failure(self, tmp_path):
+        src = self._make_dir(tmp_path, n_files=2)
+        (src / "empty.bin").write_bytes(b"")
+        dst = tmp_path / "out"
+        assert main(["sweep", "--input-dir", str(src), "--output-dir", str(dst)]) == 1
+        manifest = json.loads((dst / "manifest.json").read_text())
+        assert set(manifest["files"]) == {"0000.bin", "0001.bin"}
+        assert set(manifest["failures"]) == {"empty.bin"}
+
+    def test_invalid_schedule_exits_2_before_any_file(self, tmp_path):
+        src = self._make_dir(tmp_path, n_files=3)
+        dst = tmp_path / "out"
+        assert main(["sweep", "--input-dir", str(src), "--output-dir", str(dst),
+                     "--alphas=-0.1,0.02"]) == 2
+        assert main(["sweep", "--input-dir", str(src), "--output-dir", str(dst),
+                     "--alphas", "0.02,nan", "--beta", "0.001"]) == 2
+        assert not dst.exists()
+
+    def test_workers_below_one_exit_2(self, tmp_path):
+        src = self._make_dir(tmp_path, n_files=2)
+        dst = tmp_path / "out"
+        for workers in ("0", "-1"):
+            assert main(["sweep", "--input-dir", str(src), "--output-dir", str(dst),
+                         "--workers", workers]) == 2
+        assert not dst.exists()
+
+    def test_one_and_two_workers_agree(self, tmp_path):
+        src = self._make_dir(tmp_path, n_files=6)
+        (src / "broken.bin").write_bytes(b"\x00" * 7)
+        outs = []
+        for workers in ("1", "2"):
+            dst = tmp_path / f"o{workers}"
+            assert main(["sweep", "--input-dir", str(src), "--output-dir", str(dst),
+                         "--seed", "3", "--workers", workers]) == 1
+            outs.append({p.name: p.read_bytes() for p in dst.iterdir()})
+        assert outs[0] == outs[1]
+        assert len(outs[0]) == 7  # six outputs and the manifest
+
+    def test_peak_correction_rejected(self, tmp_path):
+        src = self._make_dir(tmp_path, n_files=1)
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--input-dir", str(src), "--output-dir", str(tmp_path / "out"),
+                  "--peak-correction"])
+        assert exc.value.code == 2
 
     def test_empty_dir_exits_2(self, tmp_path):
         src = tmp_path / "in"
@@ -251,16 +317,24 @@ class TestIntersect:
         assert rc == 0
         assert "50/100" in capsys.readouterr().out
 
+    def test_empty_clouds_accepted(self, tmp_path, capsys):
+        empty = tmp_path / "empty.bin"
+        empty.write_bytes(b"")
+        out = tmp_path / "o.bin"
+        assert main(["intersect", str(empty), str(empty), "--output", str(out)]) == 0
+        assert out.read_bytes() == b""
+        assert "0/0" in capsys.readouterr().out
+
 
 class TestHelp:
     def test_help_lists_all_flags(self, capsys):
         for cmd, flags in {
             "simulate": ["--input", "--output", "--alpha", "--mor", "--beta", "--beta0",
                          "--tau-h", "--r1", "--r2", "--seed", "--no-rescale", "--stats",
-                         "--provenance", "--workers", "--peak-correction", "--format",
+                         "--provenance", "--workers", "--format",
                          "--columns", "--allow-nonfinite", "--config"],
             "sweep": ["--input-dir", "--output-dir", "--alphas", "--seed", "--workers"],
-            "response": ["--r0", "--ca-p0", "--output"],
+            "response": ["--r0", "--ca-p0", "--output", "--peak-correction"],
             "intersect": ["--tolerance", "--output"],
         }.items():
             with pytest.raises(SystemExit) as exc:
@@ -269,6 +343,9 @@ class TestHelp:
             text = capsys.readouterr().out
             for flag in flags:
                 assert flag in text, f"{cmd} help missing {flag}"
+            if cmd in ("simulate", "sweep"):
+                # only `response` applies the peak shift
+                assert "--peak-correction" not in text
 
 
 class TestImports:

@@ -150,7 +150,8 @@ class TestFoggifyPoint:
         for p in (Point(0.0, 0.0, 0.0, 10.0),
                   Point(np.nan, 1.0, 1.0, 10.0),
                   Point(500.0, 0.0, 0.0, 10.0),
-                  Point(1.0, 1.0, 1.0, np.inf)):
+                  Point(1.0, 1.0, 1.0, np.inf),
+                  Point(30.0, 0.0, 0.0, -5.0)):
             out, tag = foggify_point(p, fog06, sensor, table06, 0.5)
             assert tag == Provenance.HARD_KEPT
             assert (out.x != out.x) if p.x != p.x else out.x == p.x
@@ -166,6 +167,11 @@ class TestFoggifyPoint:
     def test_table_alpha_mismatch_rejected(self, fog06, table_heavy, sensor):
         with pytest.raises(ValueError):
             foggify_point(Point(1, 1, 1, 1), fog06, sensor, table_heavy, 0.5)
+
+    def test_table_sensor_mismatch_rejected(self, fog06, table06):
+        with pytest.raises(ValueError, match="another sensor"):
+            foggify_point(Point(30.0, 0.0, 0.0, 100.0), fog06, SensorModel(tau_h=10e-9),
+                          table06, 0.5)
 
 
 class TestFoggifyCloud:
@@ -269,16 +275,57 @@ class TestFoggifyCloud:
         xyz = np.array([[0.0, 0.0, 0.0],
                         [np.nan, 1.0, 2.0],
                         [300.0, 0.0, 0.0],
+                        [30.0, 0.0, 0.0],
                         [30.0, 0.0, 0.0]])
-        cloud = PointCloud(xyz, np.array([5.0, 6.0, 7.0, 8.0]))
+        cloud = PointCloud(xyz, np.array([5.0, 6.0, 7.0, -8.0, 8.0]))
         out = foggify_cloud(cloud, fog06, sensor, rescale=False, table=table06)
-        assert out.stats.n_skipped == 3
+        assert out.stats.n_skipped == 4
         assert np.array_equal(out.cloud.xyz[0], xyz[0])
         assert np.isnan(out.cloud.xyz[1, 0])
         assert np.array_equal(out.cloud.xyz[2], xyz[2])
+        assert np.array_equal(out.cloud.xyz[3], xyz[3])
         assert out.cloud.intensity[0] == 5.0
         assert out.cloud.intensity[2] == 7.0
-        assert np.all(out.provenance[:3] == Provenance.HARD_KEPT)
+        assert out.cloud.intensity[3] == -8.0
+        assert np.all(out.provenance[:4] == Provenance.HARD_KEPT)
+
+    def test_table_sensor_mismatch_rejected(self, fog06, table06):
+        short_pulse = SensorModel(tau_h=10e-9)
+        cloud = random_cloud(100, seed=22)
+        with pytest.raises(ValueError, match="another sensor"):
+            foggify_cloud(cloud, fog06, short_pulse, table=table06)
+        own = foggify_cloud(cloud, fog06, short_pulse, table=build_table(fog06, short_pulse))
+        assert own.stats.n_points == 100
+
+    def test_nan_intensity_leaves_rescale_and_stats_finite(self, fog06, table06, sensor):
+        cloud = random_cloud(1_000, seed=23)
+        cloud.intensity[17] = np.nan
+        raw = foggify_cloud(cloud, fog06, sensor, seed=1, rescale=False, table=table06)
+        out = foggify_cloud(cloud, fog06, sensor, seed=1, table=table06)
+        finite_raw = np.delete(raw.cloud.intensity, 17)
+        assert out.stats.rescale_factor == cloud.intensity_scale / finite_raw.max()
+        assert np.isnan(out.cloud.intensity[17])
+        assert np.nanmax(out.cloud.intensity) == cloud.intensity_scale
+        s = out.stats
+        assert s.n_skipped == 1
+        assert s.intensity_in_max == np.nanmax(cloud.intensity)
+        assert s.intensity_in_min == np.nanmin(cloud.intensity)
+        assert s.intensity_in_mean == pytest.approx(np.nanmean(cloud.intensity), rel=1e-12)
+        assert s.intensity_out_max == cloud.intensity_scale
+        assert math.isfinite(s.intensity_out_mean) and math.isfinite(s.intensity_out_min)
+
+    def test_inf_intensity_does_not_zero_the_cloud(self, fog06, table06, sensor):
+        cloud = random_cloud(1_000, seed=24)
+        cloud.intensity[5] = np.inf
+        raw = foggify_cloud(cloud, fog06, sensor, seed=1, rescale=False, table=table06)
+        out = foggify_cloud(cloud, fog06, sensor, seed=1, table=table06)
+        others = np.delete(out.cloud.intensity, 5)
+        assert out.cloud.intensity[5] == np.inf
+        assert others.max() == cloud.intensity_scale
+        assert np.count_nonzero(others == 0.0) == np.count_nonzero(
+            np.delete(raw.cloud.intensity, 5) == 0.0)
+        assert out.stats.intensity_in_max == np.delete(cloud.intensity, 5).max()
+        assert out.stats.intensity_out_max == cloud.intensity_scale
 
     def test_stats_bookkeeping(self, fog06, table06, sensor):
         cloud = random_cloud(1_000, seed=21)

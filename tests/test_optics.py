@@ -366,6 +366,11 @@ class TestParamValidation:
             FogParams(alpha=-0.01, beta=0.0)
         with pytest.raises(ValueError):
             FogParams(alpha=0.06, beta=-1.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                FogParams(alpha=bad, beta=0.001)
+            with pytest.raises(ValueError):
+                FogParams(alpha=0.06, beta=bad)
         with pytest.raises(ValueError):
             FogParams(alpha=0.06, beta=0.0, beta_0=0.0)
         with pytest.raises(ValueError):

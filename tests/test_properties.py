@@ -1,0 +1,159 @@
+"""Property tests of the per-point transform and the sweep plan.
+
+Clouds mix ordinary points (coordinates within +-150 m, so some ranges lie
+beyond the 200 m table, intensities in [-50, 300], so some are negative)
+with a few entries poisoned by zero, NaN or infinite values.  Settings are
+derandomized so every run checks the same examples.
+"""
+
+import json
+import os
+import tempfile
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+import lidarfog.cli as cli
+from lidarfog import (
+    PointCloud,
+    Provenance,
+    build_table,
+    fog_from_alpha,
+    foggify_cloud,
+    foggify_point,
+    query_soft_max,
+    sample_alpha,
+)
+from lidarfog.optics import hard_peak_intensity
+from lidarfog.rng import stable_key64, uniform01
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+SPECIALS = (0.0, -0.0, np.nan, np.inf, -np.inf)
+
+
+@st.composite
+def clouds(draw, max_points=120):
+    n = draw(st.integers(1, max_points))
+    xyz = draw(hnp.arrays(np.float64, (n, 3), elements=st.floats(-150.0, 150.0)))
+    inten = draw(hnp.arrays(np.float64, n, elements=st.floats(-50.0, 300.0)))
+    for i, col, value in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 3),
+                                                 st.sampled_from(SPECIALS)), max_size=6)):
+        if col == 3:
+            inten[i] = value
+        else:
+            xyz[i, col] = value
+    return PointCloud(xyz, inten)
+
+
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def degenerate(cloud, sensor):
+    """The documented skip rule, restated: no positive range within max_range,
+    or an intensity that is negative or not finite."""
+    x, y, z = (cloud.xyz[:, j] for j in range(3))
+    r0 = np.sqrt(x * x + y * y + z * z)
+    good_range = np.isfinite(r0) & (r0 > 0.0) & (r0 <= sensor.max_range)
+    good_inten = np.isfinite(cloud.intensity) & (cloud.intensity >= 0.0)
+    return ~(good_range & good_inten), r0
+
+
+_TABLES = {}
+
+
+def fog_and_table(alpha, sensor):
+    if alpha not in _TABLES:
+        fog = fog_from_alpha(alpha)  # beta = 0 at alpha = 0
+        _TABLES[alpha] = (fog, build_table(fog, sensor))
+    return _TABLES[alpha]
+
+
+ALPHAS = st.sampled_from((0.0, 0.06, 0.2))
+
+
+@PROPERTY
+@given(cloud=clouds(), seed=st.integers(0, 2**32))
+def test_clear_air_is_the_identity(sensor, cloud, seed):
+    fog, table = fog_and_table(0.0, sensor)
+    out = foggify_cloud(cloud, fog, sensor, seed=seed, rescale=False, table=table)
+    assert same_bits(out.cloud.xyz, cloud.xyz)
+    assert same_bits(out.cloud.intensity, cloud.intensity)
+    assert np.all(out.provenance == Provenance.HARD_KEPT)
+
+
+@PROPERTY
+@given(cloud=clouds(), alpha=ALPHAS, seed=st.integers(0, 2**32))
+def test_degenerate_points_pass_through(sensor, cloud, alpha, seed):
+    fog, table = fog_and_table(alpha, sensor)
+    bad, _ = degenerate(cloud, sensor)
+    out = foggify_cloud(cloud, fog, sensor, seed=seed, rescale=False, table=table)
+    assert out.stats.n_skipped == int(np.count_nonzero(bad))
+    assert same_bits(out.cloud.xyz[bad], cloud.xyz[bad])
+    assert same_bits(out.cloud.intensity[bad], cloud.intensity[bad])
+    assert np.all(out.provenance[bad] == Provenance.HARD_KEPT)
+
+
+@PROPERTY
+@given(cloud=clouds(max_points=40), alpha=ALPHAS, seed=st.integers(0, 2**32))
+def test_provenance_follows_the_per_point_rule(sensor, cloud, alpha, seed):
+    fog, table = fog_and_table(alpha, sensor)
+    bad, r0 = degenerate(cloud, sensor)
+    out = foggify_cloud(cloud, fog, sensor, seed=seed, rescale=False, table=table)
+    for i in range(len(cloud)):
+        if bad[i]:
+            expect = False
+        else:
+            i_tmp, _ = query_soft_max(table, float(r0[i]))
+            inten = float(cloud.intensity[i])
+            i_soft = (inten * r0[i] * r0[i] / fog.beta_0) * fog.beta * i_tmp
+            expect = bool(i_soft > hard_peak_intensity(inten, float(r0[i]), fog.alpha))
+        assert out.provenance[i] == expect, f"point {i}"
+        p, tag = foggify_point(cloud.point(i), fog, sensor, table, uniform01(seed, i))
+        assert tag == out.provenance[i]
+        assert same_bits([p.x, p.y, p.z, p.intensity],
+                         [*out.cloud.xyz[i], out.cloud.intensity[i]])
+
+
+@PROPERTY
+@given(cloud=clouds(max_points=300), alpha=ALPHAS, seed=st.integers(0, 2**32),
+       rescale=st.booleans(), block_size=st.integers(1, 64), workers=st.integers(2, 4))
+def test_outputs_ignore_workers_and_block_size(sensor, cloud, alpha, seed, rescale,
+                                               block_size, workers):
+    fog, table = fog_and_table(alpha, sensor)
+    ref = foggify_cloud(cloud, fog, sensor, seed=seed, rescale=rescale, table=table,
+                        workers=1)
+    out = foggify_cloud(cloud, fog, sensor, seed=seed, rescale=rescale, table=table,
+                        workers=workers, block_size=block_size)
+    assert same_bits(out.cloud.xyz, ref.cloud.xyz)
+    assert same_bits(out.cloud.intensity, ref.cloud.intensity)
+    assert same_bits(out.provenance, ref.provenance)
+    assert same_bits(list(out.stats.to_dict().values()), list(ref.stats.to_dict().values()))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**31), n_files=st.integers(1, 6),
+       schedule=st.lists(st.sampled_from((0.0, 0.01, 0.03, 0.06)), min_size=1, max_size=4))
+def test_sweep_builds_one_table_per_drawn_alpha(seed, n_files, schedule):
+    names = [f"{k:04d}.bin" for k in range(n_files)]
+    drawn = {n: sample_alpha(schedule, uniform01(seed, stable_key64(n))) for n in names}
+    with tempfile.TemporaryDirectory() as tmp:
+        src = os.path.join(tmp, "in")
+        os.mkdir(src)
+        rng = np.random.default_rng(seed)
+        for name in names:
+            rng.uniform(1.0, 60.0, (20, 4)).astype("<f4").tofile(os.path.join(src, name))
+        dst = os.path.join(tmp, "out")
+        with mock.patch.object(cli, "build_table", wraps=cli.build_table) as build:
+            rc = cli.main(["sweep", "--input-dir", src, "--output-dir", dst,
+                           "--alphas", ",".join(map(repr, schedule)), "--seed", str(seed),
+                           "--workers", "2"])
+        with open(os.path.join(dst, "manifest.json"), encoding="ascii") as fh:
+            manifest = json.load(fh)
+    assert rc == 0
+    assert manifest["files"] == drawn
+    built = [call.args[0].alpha for call in build.call_args_list]
+    assert sorted(built) == sorted(set(drawn.values()))
