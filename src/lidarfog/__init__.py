@@ -23,7 +23,6 @@ from .foggify import (
 )
 from .optics import (
     DEFAULT_BETA_0,
-    DEFAULT_SUBINTERVALS,
     SPEED_OF_LIGHT,
     FogParams,
     PulseEnergy,
@@ -57,7 +56,6 @@ __all__ = [
     "CloudStats",
     "DEFAULT_ALPHA_SCHEDULE",
     "DEFAULT_BETA_0",
-    "DEFAULT_SUBINTERVALS",
     "FogParams",
     "FoggifyOutcome",
     "MalformedFileError",

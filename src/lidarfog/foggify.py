@@ -30,12 +30,13 @@ from .optics import (
     hard_peak_intensity,
 )
 from .rng import uniform01
-from .tables import SoftResponseTable, build_table, sensor_fingerprint
+from .tables import SoftResponseTable, _soft_max_at, build_table, sensor_fingerprint
 
 # training-style attenuation schedule: clear air through dense fog (MOR 50 m)
 DEFAULT_ALPHA_SCHEDULE = (0.0, 0.005, 0.01, 0.02, 0.03, 0.06)
 
-_BLOCK_SIZE = 1 << 16  # fixed block decomposition keeps results worker-invariant
+# fixed block decomposition keeps results worker-invariant; read at call time
+_BLOCK_SIZE = 1 << 16
 
 
 class Provenance(IntEnum):
@@ -70,7 +71,7 @@ class PointCloud:
             raise ValueError(
                 f"intensity shape {intensity.shape} does not match {xyz.shape[0]} points"
             )
-        if intensity_scale <= 0:
+        if not intensity_scale > 0:
             raise ValueError(f"intensity_scale must be positive, got {intensity_scale}")
         self.xyz = xyz
         self.intensity = intensity
@@ -170,10 +171,8 @@ def _transform_block(x, y, z, inten, draws, fog: FogParams, sensor: SensorModel,
 
     Returns (x_out, y_out, z_out, i_out, soft_mask, skipped_mask).  Skipped
     points (zero/overlong range, non-finite coordinates, negative or
-    non-finite intensity) pass through unchanged.  The table entry is
-    floor(r0 / grid_step), computed in floating point as in
-    `query_soft_max`, so it can be one below the largest k with
-    k * grid_step <= r0 (r0 = 4.3 reads entry 42).
+    non-finite intensity) pass through unchanged.  The table is read with
+    `_soft_max_at`, the lookup of `query_soft_max`.
     """
     r0 = np.sqrt(x * x + y * y + z * z)
     # the comparisons are False for NaN, so they also reject non-finite values
@@ -182,12 +181,7 @@ def _transform_block(x, y, z, inten, draws, fog: FogParams, sensor: SensorModel,
     r0s = np.where(valid, r0, 1.0)
     inten_s = np.where(valid, inten, 0.0)
 
-    k = np.minimum(np.floor(r0s / table.grid_step).astype(np.int64), table.n_entries)
-    has_grid = valid & (k >= 1)
-    ki = np.where(has_grid, k - 1, 0)
-    i_tmp = np.where(has_grid, table.prefix_max[ki], 0.0)
-    r_tmp = np.where(has_grid, table.prefix_argmax[ki], 0.0)
-
+    i_tmp, r_tmp = _soft_max_at(table, r0s)
     i_hard = hard_peak_intensity(inten_s, r0s, fog.alpha)
     i_soft = (inten_s * r0s * r0s / fog.beta_0) * fog.beta * i_tmp
     soft = valid & (i_soft > i_hard)
@@ -250,7 +244,6 @@ def foggify_cloud(
     rescale: bool = True,
     table: Optional[SoftResponseTable] = None,
     workers: Optional[int] = None,
-    block_size: int = _BLOCK_SIZE,
 ) -> FoggifyOutcome:
     """Apply the per-point transform to a whole cloud.
 
@@ -288,7 +281,7 @@ def foggify_cloud(
         for dst, src in zip((xo, yo, zo, io, soft, skipped), res):
             dst[lo:hi] = src
 
-    blocks = [(lo, min(lo + block_size, n)) for lo in range(0, n, block_size)]
+    blocks = [(lo, min(lo + _BLOCK_SIZE, n)) for lo in range(0, n, _BLOCK_SIZE)]
     if workers is None:
         workers = min(len(blocks), os.cpu_count() or 1)
     if workers <= 1 or len(blocks) == 1:

@@ -10,8 +10,10 @@ composite Simpson quadrature, for a whole array of ranges in one batched
 pass (`soft_response_integrals`); the one-range `soft_response_integral`
 is a call of that pass, so both give the same bits.
 
-All arithmetic is 64-bit and every function accepts scalars or numpy arrays,
-except the soft-return evaluators, which take a float or a 1-D array.
+All arithmetic is 64-bit.  The pointwise functions take scalars or numpy
+arrays and return arrays (a 0-d array or numpy scalar for scalar input);
+`soft_response_integrals` takes a 1-D array and `soft_response_integral` a
+float.
 Functions in this module are pure; `SensorModel` and `FogParams` are frozen
 and safe to share across threads.
 """
@@ -30,7 +32,10 @@ MOR_ALPHA_PRODUCT = 3.0
 BETA_MOR_SCALE = 0.046
 
 DEFAULT_BETA_0 = 1e-6 / np.pi  # [1/sr] hard-target differential reflectivity
-DEFAULT_SUBINTERVALS = 40      # Simpson subintervals per smooth panel
+
+# Simpson subintervals per smooth panel (even).  Read at call time; part of
+# every table's sensor fingerprint.
+_SUBINTERVALS = 40
 
 # Panels of the soft-return quadrature grow geometrically away from the
 # crossover end where the 1/x^2 factor is steep.  sqrt(2) keeps the
@@ -38,7 +43,7 @@ DEFAULT_SUBINTERVALS = 40      # Simpson subintervals per smooth panel
 _PANEL_GROWTH = float(np.sqrt(2.0))
 
 # Ranges per block of the batched soft-return evaluator: at the default
-# sensor and subintervals 256 ranges make at most ~800 panels of 41 nodes,
+# sensor and _SUBINTERVALS 256 ranges make at most ~800 panels of 41 nodes,
 # so each temporary array stays near 260 kB.
 _BLOCK_SIZE = 256
 
@@ -108,7 +113,7 @@ class FogParams:
         if not 0 < self.beta_0 <= 1.0 / np.pi:
             raise ValueError(f"beta_0 must lie in (0, 1/pi], got {self.beta_0}")
         if self.mor is not None:
-            if self.mor <= 0:
+            if not self.mor > 0:
                 raise ValueError(f"mor must be positive, got {self.mor}")
             if self.alpha > 0 and np.isfinite(self.mor):
                 ref = MOR_ALPHA_PRODUCT / self.alpha
@@ -130,20 +135,15 @@ class PulseEnergy:
     ca_p0: float
 
     def __post_init__(self):
-        if self.ca_p0 < 0:
+        if not self.ca_p0 >= 0:
             raise ValueError(f"ca_p0 must be >= 0, got {self.ca_p0}")
 
     @classmethod
     def from_reference(cls, intensity: float, r0: float, beta_0: float = DEFAULT_BETA_0):
         """Energy implied by a point of given intensity at range r0."""
-        if r0 <= 0:
+        if not r0 > 0:
             raise ValueError(f"reference range must be positive, got {r0}")
         return cls(intensity * r0 * r0 / beta_0)
-
-
-def _as_result(out):
-    # scalar in, scalar out; arrays pass through
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def transmit_pulse(t, p0, sensor: SensorModel):
@@ -151,7 +151,7 @@ def transmit_pulse(t, p0, sensor: SensorModel):
     t = np.asarray(t, dtype=np.float64)
     inside = (t >= 0.0) & (t <= 2.0 * sensor.tau_h)
     val = p0 * np.sin(np.pi * t / (2.0 * sensor.tau_h)) ** 2
-    return _as_result(np.where(inside, val, 0.0))
+    return np.where(inside, val, 0.0)
 
 
 def crossover(r, sensor: SensorModel):
@@ -162,13 +162,13 @@ def crossover(r, sensor: SensorModel):
     """
     r = np.asarray(r, dtype=np.float64)
     ramp = (r - sensor.r1) / (sensor.r2 - sensor.r1)
-    return _as_result(np.clip(ramp, 0.0, 1.0))
+    return np.clip(ramp, 0.0, 1.0)
 
 
 def transmission(r, alpha):
     """One-way transmission loss T(r) = exp(-alpha * r) of a homogeneous medium."""
     r = np.asarray(r, dtype=np.float64)
-    return _as_result(np.exp(-alpha * r))
+    return np.exp(-alpha * r)
 
 
 def clear_response(r, r0, energy: PulseEnergy, fog: FogParams, sensor: SensorModel):
@@ -190,7 +190,7 @@ def clear_response(r, r0, energy: PulseEnergy, fog: FogParams, sensor: SensorMod
     inside = (u >= 0.0) & (u <= span)
     amp = energy.ca_p0 * fog.beta_0 / (r0 * r0)
     val = amp * np.sin(np.pi * u / span) ** 2
-    return _as_result(np.where(inside, val, 0.0))
+    return np.where(inside, val, 0.0)
 
 
 def hard_peak_intensity(i, r0, alpha):
@@ -202,7 +202,7 @@ def hard_peak_intensity(i, r0, alpha):
     r0 = np.asarray(r0, dtype=np.float64)
     if np.any(r0 <= 0):
         raise ValueError("hard-target range must be positive")
-    return _as_result(i * np.exp(-2.0 * alpha * r0))
+    return i * np.exp(-2.0 * alpha * r0)
 
 
 def soft_integrand(t, r, fog: FogParams, sensor: SensorModel):
@@ -222,7 +222,7 @@ def soft_integrand(t, r, fog: FogParams, sensor: SensorModel):
     xs = np.where(inside, x, 1.0)
     pulse = np.sin(np.pi * t / (2.0 * sensor.tau_h)) ** 2
     val = pulse * np.exp(-2.0 * fog.alpha * xs) / (xs * xs) * crossover(x, sensor)
-    return _as_result(np.where(inside, val, 0.0))
+    return np.where(inside, val, 0.0)
 
 
 def _simpson_weights(n: int) -> np.ndarray:
@@ -302,13 +302,12 @@ def soft_response_integrals(
     r,
     fog: FogParams,
     sensor: SensorModel,
-    subintervals: int = DEFAULT_SUBINTERVALS,
     hard_range: Optional[float] = None,
 ) -> np.ndarray:
     """Composite-Simpson values of the soft-return time integral at ranges r.
 
     Integrates `soft_integrand` over the pulse support [0, 2*tau_h] with
-    `subintervals` Simpson subintervals per smooth panel (see
+    `_SUBINTERVALS` Simpson subintervals per smooth panel (see
     `_panel_ladder`).  Zero exactly for r <= r1, where the integrand has no
     support.  `hard_range` truncates contributions from scattering beyond
     the hard target; it only matters when evaluating at r > hard_range
@@ -319,15 +318,13 @@ def soft_response_integrals(
     each value is bitwise independent of the other ranges in the call.
     Ranges are evaluated in blocks of `_BLOCK_SIZE` to bound temporaries.
 
-    Doubling `subintervals` from the default changes results by less than
-    1e-6 relative over the working range.
+    Doubling `_SUBINTERVALS` changes results by less than 1e-6 relative
+    over the working range.
     """
-    if subintervals < 2 or subintervals % 2 != 0:
-        raise ValueError(f"subintervals must be even and >= 2, got {subintervals}")
     r = np.asarray(r, dtype=np.float64)
     if hard_range is not None:
         hard_range = float(hard_range)
-    w = _simpson_weights(subintervals)
+    w = _simpson_weights(_SUBINTERVALS)
     out = np.empty(len(r))
     for lo in range(0, len(r), _BLOCK_SIZE):
         out[lo:lo + _BLOCK_SIZE] = _soft_block(r[lo:lo + _BLOCK_SIZE], fog, sensor,
@@ -339,8 +336,7 @@ def soft_response_integral(
     r,
     fog: FogParams,
     sensor: SensorModel,
-    subintervals: int = DEFAULT_SUBINTERVALS,
     hard_range: Optional[float] = None,
 ) -> float:
     """`soft_response_integrals` at the single range r, as a float."""
-    return float(soft_response_integrals([float(r)], fog, sensor, subintervals, hard_range)[0])
+    return float(soft_response_integrals([float(r)], fog, sensor, hard_range)[0])

@@ -45,7 +45,7 @@ class CloudFormat:
     def __post_init__(self):
         if self.kind not in (BIN_KIND, PLY_KIND):
             raise ValueError(f"unknown cloud format kind {self.kind!r}")
-        if self.intensity_scale <= 0:
+        if not self.intensity_scale > 0:
             raise ValueError(f"intensity_scale must be positive, got {self.intensity_scale}")
         if self.columns < 4:
             raise ValueError(f"records need at least 4 columns, got {self.columns}")

@@ -19,18 +19,16 @@ _TO_UNIT = 2.0 ** -53
 def uniform01(seed: int, index):
     """Uniform draw(s) in [0, 1) keyed by (seed, index).
 
-    `index` may be a scalar or an integer array; vectorized evaluation is
-    bit-identical to element-wise evaluation.
+    `index` may be a scalar (giving a numpy float64) or an integer array;
+    vectorized evaluation is bit-identical to element-wise evaluation.
     """
-    scalar = np.ndim(index) == 0
     idx = np.asarray(index, dtype=np.uint64)
     with np.errstate(over="ignore"):
         z = np.uint64(seed & _MASK64) + (idx + np.uint64(1)) * np.uint64(_GOLDEN_GAMMA)
         z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_1)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_2)
         z = z ^ (z >> np.uint64(31))
-    out = (z >> np.uint64(11)) * _TO_UNIT
-    return float(out) if scalar else out
+    return (z >> np.uint64(11)) * _TO_UNIT
 
 
 def stable_key64(name: str) -> int:

@@ -9,20 +9,16 @@ prefix-maximum and prefix-argmax arrays, and each point query becomes a
 single indexed lookup that matches the naive scan bit for bit.
 """
 
+import hashlib
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .optics import (
-    DEFAULT_SUBINTERVALS,
-    FogParams,
-    SensorModel,
-    soft_response_integral,
-    soft_response_integrals,
-)
+from . import optics
+from .optics import FogParams, SensorModel, soft_response_integral, soft_response_integrals
 
-DEFAULT_MAX_ENTRIES = 1_000_000
+_MAX_ENTRIES = 1_000_000  # cap on table entries; read at call time
 
 
 @dataclass(frozen=True)
@@ -52,20 +48,20 @@ class SoftResponseTable:
         return self.n_entries * self.grid_step
 
 
-def sensor_fingerprint(sensor: SensorModel, subintervals: int = DEFAULT_SUBINTERVALS) -> int:
-    """64-bit fingerprint of everything the tabulated values depend on."""
-    import hashlib
+def sensor_fingerprint(sensor: SensorModel) -> int:
+    """64-bit fingerprint of everything the tabulated values depend on.
 
+    `peak_correction` is left out: no table value reads it.
+    """
     payload = struct.pack(
-        "<6dBi",
+        "<6di",
         sensor.tau_h,
         sensor.r1,
         sensor.r2,
         sensor.c,
         sensor.range_step,
         sensor.max_range,
-        int(sensor.peak_correction),
-        subintervals,
+        optics._SUBINTERVALS,
     )
     return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "little")
 
@@ -86,12 +82,7 @@ def _prefix_max_argmax(values: np.ndarray, grid_step: float):
     return pm, argmax_range
 
 
-def build_table(
-    fog: FogParams,
-    sensor: SensorModel,
-    subintervals: int = DEFAULT_SUBINTERVALS,
-    max_entries: int = DEFAULT_MAX_ENTRIES,
-) -> SoftResponseTable:
+def build_table(fog: FogParams, sensor: SensorModel) -> SoftResponseTable:
     """Tabulate the soft-return integral over (0, max_range] at range_step.
 
     All entries come from one `soft_response_integrals` call, whose values
@@ -101,12 +92,11 @@ def build_table(
     """
     step = sensor.range_step
     n = int(np.ceil(sensor.max_range / step))
-    if n > max_entries:
+    if n > _MAX_ENTRIES:
         raise ValueError(
-            f"table would need {n} entries (cap {max_entries}); "
-            "raise range_step or the cap"
+            f"table would need {n} entries (cap {_MAX_ENTRIES}); raise range_step"
         )
-    values = soft_response_integrals(np.arange(1, n + 1) * step, fog, sensor, subintervals)
+    values = soft_response_integrals(np.arange(1, n + 1) * step, fog, sensor)
     pm, am = _prefix_max_argmax(values, step)
     for arr in (values, pm, am):
         arr.setflags(write=False)
@@ -116,40 +106,45 @@ def build_table(
         values=values,
         prefix_max=pm,
         prefix_argmax=am,
-        sensor_fingerprint=sensor_fingerprint(sensor, subintervals),
+        sensor_fingerprint=sensor_fingerprint(sensor),
     )
+
+
+def _soft_max_at(table: SoftResponseTable, r0: np.ndarray):
+    """(i_tmp, r_tmp) arrays: the prefix max and its range at positive ranges r0.
+
+    The grid is snapped down: k = min(floor(r0 / grid_step), n_entries),
+    with the division done in floating point, and k < 1 gives (0.0, 0.0),
+    meaning "no soft contribution".  That k can be one less than the largest
+    k with k * grid_step <= r0: r0 = 4.3 = 43 * 0.1 reads entry 42, as do 98
+    of the 2000 grid ranges k * 0.1.  A decimal r0 also often reads the
+    entry below its decimal index (0.3 / 0.1 is 2.9999999999999996): 697 of
+    the literals 0.1, 0.2, ..., 200.0 do.  `naive_soft_max` snaps the same
+    way, so the lookup equals the naive scan of the grid bit for bit.
+    """
+    k = np.minimum(np.floor(r0 / table.grid_step).astype(np.int64), table.n_entries)
+    on_grid = k >= 1
+    ki = np.where(on_grid, k - 1, 0)
+    return (np.where(on_grid, table.prefix_max[ki], 0.0),
+            np.where(on_grid, table.prefix_argmax[ki], 0.0))
 
 
 def query_soft_max(table: SoftResponseTable, r0: float):
     """Maximum soft return over the grid up to r0 and the range achieving it.
 
-    Returns (i_tmp, r_tmp).  The grid is snapped down: k = floor(r0 /
-    grid_step), with the division done in floating point.  That k can be one
-    less than the largest k with k * grid_step <= r0: r0 = 4.3 = 43 * 0.1
-    reads entry 42, as do 98 of the 2000 grid ranges k * 0.1.  A decimal r0
-    also often reads the entry below its decimal index (0.3 / 0.1 is
-    2.9999999999999996): 697 of the literals 0.1, 0.2, ..., 200.0 do.
-    `naive_soft_max` and the per-point transform snap the same way.  With
-    k < 1 the result is (0.0, 0.0), meaning "no soft contribution".  Equals
-    the naive scan of the grid exactly, bit for bit.
+    Returns (i_tmp, r_tmp) as floats.  The grid is snapped down as in
+    `_soft_max_at` (r0 = 4.3 reads entry 42), and below the first entry the
+    result is (0.0, 0.0).  Equals the naive scan of the grid bit for bit.
     """
     if not r0 > 0.0:
         raise ValueError(f"query range must be positive, got {r0}")
     if r0 > table.max_range:
         raise ValueError(f"query range {r0} beyond table extent {table.max_range}")
-    k = int(r0 / table.grid_step)
-    if k < 1:
-        return 0.0, 0.0
-    k = min(k, table.n_entries)
-    return float(table.prefix_max[k - 1]), float(table.prefix_argmax[k - 1])
+    i_tmp, r_tmp = _soft_max_at(table, np.array([r0], dtype=np.float64))
+    return float(i_tmp[0]), float(r_tmp[0])
 
 
-def naive_soft_max(
-    r0: float,
-    fog: FogParams,
-    sensor: SensorModel,
-    subintervals: int = DEFAULT_SUBINTERVALS,
-):
+def naive_soft_max(r0: float, fog: FogParams, sensor: SensorModel):
     """Reference per-point scan: recompute the integral grid up to r0.
 
     This is the unoptimized formulation (one full quadrature per grid range
@@ -161,7 +156,7 @@ def naive_soft_max(
     best_r = 0.0
     for k in range(1, int(r0 / step) + 1):
         r = k * step
-        v = soft_response_integral(r, fog, sensor, subintervals)
+        v = soft_response_integral(r, fog, sensor)
         if v > best:
             best = v
             best_r = r

@@ -21,6 +21,7 @@ from lidarfog import (
     query_soft_max,
     sample_alpha,
 )
+from lidarfog import foggify
 from lidarfog.rng import uniform01
 
 
@@ -219,10 +220,12 @@ class TestFoggifyCloud:
             assert np.array_equal(ref.cloud.xyz, out.cloud.xyz)
             assert np.array_equal(ref.cloud.intensity, out.cloud.intensity)
 
-    def test_block_size_invariance(self, fog06, table06, sensor):
+    def test_block_size_invariance(self, fog06, table06, sensor, monkeypatch):
         cloud = random_cloud(10_000, seed=16)
-        ref = foggify_cloud(cloud, fog06, sensor, seed=3, table=table06, block_size=10_000)
-        out = foggify_cloud(cloud, fog06, sensor, seed=3, table=table06, block_size=999)
+        monkeypatch.setattr(foggify, "_BLOCK_SIZE", 10_000)
+        ref = foggify_cloud(cloud, fog06, sensor, seed=3, table=table06)
+        monkeypatch.setattr(foggify, "_BLOCK_SIZE", 999)
+        out = foggify_cloud(cloud, fog06, sensor, seed=3, table=table06)
         assert np.array_equal(ref.cloud.xyz, out.cloud.xyz)
         assert np.array_equal(ref.cloud.intensity, out.cloud.intensity)
 
@@ -297,6 +300,17 @@ class TestFoggifyCloud:
         own = foggify_cloud(cloud, fog06, short_pulse, table=build_table(fog06, short_pulse))
         assert own.stats.n_points == 100
 
+    def test_table_for_peak_corrected_sensor_accepted(self, fog06, table06, sensor):
+        # peak correction only shifts reported response curves; tables ignore it
+        table = build_table(fog06, SensorModel(peak_correction=True))
+        cloud = random_cloud(5_000, seed=23)
+        out = foggify_cloud(cloud, fog06, sensor, seed=8, table=table)
+        ref = foggify_cloud(cloud, fog06, sensor, seed=8, table=table06)
+        assert out.cloud.xyz.tobytes() == ref.cloud.xyz.tobytes()
+        assert out.cloud.intensity.tobytes() == ref.cloud.intensity.tobytes()
+        assert out.provenance.tobytes() == ref.provenance.tobytes()
+        assert out.stats == ref.stats
+
     def test_nan_intensity_leaves_rescale_and_stats_finite(self, fog06, table06, sensor):
         cloud = random_cloud(1_000, seed=23)
         cloud.intensity[17] = np.nan
@@ -370,8 +384,9 @@ class TestPointCloudType:
             PointCloud(np.zeros((3, 2)), np.zeros(3))
         with pytest.raises(ValueError):
             PointCloud(np.zeros((3, 3)), np.zeros(4))
-        with pytest.raises(ValueError):
-            PointCloud(np.zeros((1, 3)), np.zeros(1), intensity_scale=0.0)
+        for bad_scale in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError):
+                PointCloud(np.zeros((1, 3)), np.zeros(1), intensity_scale=bad_scale)
 
     def test_from_points_roundtrip(self):
         pts = [Point(1.0, 2.0, 3.0, 4.0), Point(-1.0, 0.5, 0.25, 9.0)]

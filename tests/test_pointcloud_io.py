@@ -141,8 +141,9 @@ class TestFormatType:
     def test_validation(self):
         with pytest.raises(ValueError):
             CloudFormat("pcd")
-        with pytest.raises(ValueError):
-            CloudFormat("bin", intensity_scale=-1.0)
+        for bad_scale in (-1.0, 0.0, np.nan):
+            with pytest.raises(ValueError):
+                CloudFormat("bin", intensity_scale=bad_scale)
         with pytest.raises(ValueError):
             CloudFormat("bin", columns=3)
         with pytest.raises(ValueError):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import lidarfog.cli as cli
+import lidarfog.foggify as foggify
 from lidarfog import (
     PointCloud,
     Provenance,
@@ -86,15 +87,27 @@ def test_clear_air_is_the_identity(sensor, cloud, seed):
 
 
 @PROPERTY
-@given(cloud=clouds(), alpha=ALPHAS, seed=st.integers(0, 2**32))
-def test_degenerate_points_pass_through(sensor, cloud, alpha, seed):
+@given(cloud=clouds(), alpha=ALPHAS, seed=st.integers(0, 2**32), rescale=st.booleans())
+def test_degenerate_points_pass_through(sensor, cloud, alpha, seed, rescale):
+    """Skipped points keep xyz and tag; with rescaling on, their intensity
+    is scaled by the cloud's one factor like every other point's.  Below the
+    smallest normal float the product keeps no relative precision, and a
+    factor that overflows (largest finite intensity subnormal) is not
+    compared."""
     fog, table = fog_and_table(alpha, sensor)
     bad, _ = degenerate(cloud, sensor)
-    out = foggify_cloud(cloud, fog, sensor, seed=seed, rescale=False, table=table)
+    out = foggify_cloud(cloud, fog, sensor, seed=seed, rescale=rescale, table=table)
     assert out.stats.n_skipped == int(np.count_nonzero(bad))
     assert same_bits(out.cloud.xyz[bad], cloud.xyz[bad])
-    assert same_bits(out.cloud.intensity[bad], cloud.intensity[bad])
     assert np.all(out.provenance[bad] == Provenance.HARD_KEPT)
+    if rescale:
+        if np.isfinite(out.stats.rescale_factor):
+            np.testing.assert_allclose(out.cloud.intensity[bad],
+                                       cloud.intensity[bad] * out.stats.rescale_factor,
+                                       rtol=1e-12, atol=np.finfo(np.float64).tiny,
+                                       equal_nan=True)
+    else:
+        assert same_bits(out.cloud.intensity[bad], cloud.intensity[bad])
 
 
 @PROPERTY
@@ -126,8 +139,9 @@ def test_outputs_ignore_workers_and_block_size(sensor, cloud, alpha, seed, resca
     fog, table = fog_and_table(alpha, sensor)
     ref = foggify_cloud(cloud, fog, sensor, seed=seed, rescale=rescale, table=table,
                         workers=1)
-    out = foggify_cloud(cloud, fog, sensor, seed=seed, rescale=rescale, table=table,
-                        workers=workers, block_size=block_size)
+    with mock.patch.object(foggify, "_BLOCK_SIZE", block_size):
+        out = foggify_cloud(cloud, fog, sensor, seed=seed, rescale=rescale, table=table,
+                            workers=workers)
     assert same_bits(out.cloud.xyz, ref.cloud.xyz)
     assert same_bits(out.cloud.intensity, ref.cloud.intensity)
     assert same_bits(out.provenance, ref.provenance)

@@ -14,7 +14,7 @@ from lidarfog import (
     query_soft_max,
     soft_response_integral,
 )
-from lidarfog import tables
+from lidarfog import optics, tables
 from lidarfog.tables import _prefix_max_argmax, sensor_fingerprint
 
 from oracles import naive_running_max
@@ -55,9 +55,10 @@ class TestBuild:
         again = build_table(fog06, sensor)
         assert np.array_equal(again.values, build_table(fog06, sensor).values)
 
-    def test_entry_cap(self, fog06, sensor):
+    def test_entry_cap(self, fog06, sensor, monkeypatch):
+        monkeypatch.setattr(tables, "_MAX_ENTRIES", 100)
         with pytest.raises(ValueError):
-            build_table(fog06, sensor, max_entries=100)
+            build_table(fog06, sensor)
 
     def test_values_are_read_only(self, table06):
         with pytest.raises(ValueError):
@@ -140,8 +141,9 @@ class TestQuery:
 
 
 class TestCache:
-    def test_fingerprint_sensitive_to_sensor(self):
+    def test_fingerprint_sensitive_to_sensor(self, monkeypatch):
         a = sensor_fingerprint(SensorModel())
         b = sensor_fingerprint(SensorModel(tau_h=10e-9))
-        c = sensor_fingerprint(SensorModel(), subintervals=80)
+        monkeypatch.setattr(optics, "_SUBINTERVALS", 80)
+        c = sensor_fingerprint(SensorModel())
         assert a != b and a != c
