@@ -119,7 +119,7 @@ class FoggifyOutcome:
 
 def alpha_to_mor(alpha: float) -> float:
     """Meteorological optical range for an attenuation coefficient (inf at 0)."""
-    if alpha < 0:
+    if not alpha >= 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     return float("inf") if alpha == 0 else MOR_ALPHA_PRODUCT / alpha
 
@@ -209,7 +209,8 @@ def _check_table(table: SoftResponseTable, fog: FogParams, sensor: SensorModel):
 
 def _finite_stats(a: np.ndarray):
     """(min, max, mean) of the finite entries of `a` (NaN if none); no extra pass if clean."""
-    stats = (float(a.min()), float(a.max()), float(a.mean()))
+    with np.errstate(invalid="ignore"):  # inf + -inf in the mean; redone below
+        stats = (float(a.min()), float(a.max()), float(a.mean()))
     if all(map(math.isfinite, stats)):
         return stats
     a = a[np.isfinite(a)]
@@ -295,9 +296,13 @@ def foggify_cloud(
     max_out = float(io.max())
     if not math.isfinite(max_out):  # NaN or inf passed through by skipped points
         max_out = float(io[np.isfinite(io)].max(initial=0.0))
-    if rescale and max_out > 0.0:
+    factor = cloud.intensity_scale / max_out if max_out > 0.0 else math.inf
+    # a largest intensity below intensity_scale / DBL_MAX (~1.4e-306 at 255)
+    # gives no finite factor; such a cloud is left unscaled, so the stats
+    # always state the factor applied
+    if rescale and math.isfinite(factor):
         io = (io / max_out) * cloud.intensity_scale
-        rescale_factor = cloud.intensity_scale / max_out
+        rescale_factor = factor
 
     n_soft = int(np.count_nonzero(soft))
     # fields in declaration order: counts, intensity in and out (min, max, mean), factor

@@ -180,7 +180,7 @@ def clear_response(r, r0, energy: PulseEnergy, fog: FogParams, sensor: SensorMod
     the maximum is reported at r0.  Requires r0 well beyond the crossover
     ramp (r0 > r2), where the overlap fraction is 1.
     """
-    if r0 <= sensor.r2:
+    if not r0 > sensor.r2:
         raise ValueError(f"hard-target range {r0} must exceed the crossover end r2={sensor.r2}")
     r = np.asarray(r, dtype=np.float64)
     span = sensor.pulse_span
@@ -200,7 +200,7 @@ def hard_peak_intensity(i, r0, alpha):
     round-trip transmission loss.
     """
     r0 = np.asarray(r0, dtype=np.float64)
-    if np.any(r0 <= 0):
+    if not np.all(r0 > 0):
         raise ValueError("hard-target range must be positive")
     return i * np.exp(-2.0 * alpha * r0)
 

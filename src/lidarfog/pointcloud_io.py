@@ -3,6 +3,9 @@
 Two formats: the headerless binary record layout used by KITTI-style
 datasets (consecutive little-endian float32 x, y, z, intensity) and a plain
 ASCII PLY with the same four properties.  Binary round-trips are bit-exact.
+PLY text is streamed both ways: the body is read by one `np.loadtxt` pass
+over the open file (a line-by-line parser takes over for bodies it rejects)
+and written in blocks of `_PLY_WRITE_ROWS` rows.
 
 `intersect_returns` keeps the points of a strongest-return scan that have a
 counterpart in the last-return scan of the same sweep; everything a
@@ -87,30 +90,40 @@ property float z
 property float intensity
 end_header
 """
+_PLY_ROW = "%.6f %.6f %.6f %.6f\n"
+_PLY_WRITE_ROWS = 8192  # rows formatted per write: bounds the text held at once
 
 
-def _read_ply(path, allow_nonfinite: bool) -> np.ndarray:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh]
-    if not lines or lines[0] != "ply":
+def _read_ply_header(fh, path) -> int:
+    """Consume the header through `end_header`; return the vertex count."""
+    if fh.readline().strip() != "ply":
         raise MalformedFileError(f"{path}: missing ply magic line")
-    try:
-        end = lines.index("end_header")
-    except ValueError:
-        raise MalformedFileError(f"{path}: missing end_header") from None
-    header = lines[1:end]
     n = None
     props = []
-    for ln in header:
+    while True:
+        raw = fh.readline()
+        if not raw:
+            raise MalformedFileError(f"{path}: missing end_header")
+        ln = raw.strip()
+        if ln == "end_header":
+            break
         if ln.startswith("element vertex "):
-            n = int(ln.split()[-1])
+            try:
+                n = int(ln.split()[-1])
+            except ValueError:
+                n = -1  # reported as an unsupported layout below
         elif ln.startswith("property "):
             props.append(ln.split()[-1])
-        elif ln.startswith(("comment", "format")):
-            continue
-    if n is None or props != ["x", "y", "z", "intensity"]:
+    if n is None or n < 0 or props != ["x", "y", "z", "intensity"]:
         raise MalformedFileError(f"{path}: unsupported ply layout")
-    body = [ln for ln in lines[end + 1:] if ln]
+    return n
+
+
+def _parse_ply_lines(fh, n: int, path) -> np.ndarray:
+    """Line-by-line body parser, the fallback of `_loadtxt_body`: it takes
+    every spelling `float()` takes (`1_0`, which loadtxt rejects) and names
+    the bad line."""
+    body = [ln for ln in (raw.strip() for raw in fh) if ln]
     if len(body) != n:
         raise MalformedFileError(f"{path}: header declares {n} vertices, found {len(body)}")
     rows = np.empty((n, 4), dtype=np.float64)
@@ -122,6 +135,35 @@ def _read_ply(path, allow_nonfinite: bool) -> np.ndarray:
             rows[i] = [float(v) for v in parts]
         except ValueError:
             raise MalformedFileError(f"{path}: bad vertex line {i + 1}") from None
+    return rows
+
+
+def _loadtxt_body(fh, n: int):
+    """The body as (n, 4) rows from one `np.loadtxt` pass over the handle, or
+    None where loadtxt rejects it or finds another shape.  Both parse numbers
+    with the same C routine as `float()`, so accepted values have the same bits."""
+    start = fh.tell()
+    if not any(raw.strip() for raw in iter(fh.readline, "")):
+        return None  # loadtxt warns on a body without data
+    fh.seek(start)
+    try:
+        rows = np.loadtxt(fh, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return rows if rows.shape == (n, 4) else None
+
+
+def _read_ply(path, allow_nonfinite: bool) -> np.ndarray:
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            n = _read_ply_header(fh, path)
+            body_start = fh.tell()
+            rows = _loadtxt_body(fh, n)
+            if rows is None:
+                fh.seek(body_start)
+                rows = _parse_ply_lines(fh, n, path)
+    except UnicodeDecodeError:
+        raise MalformedFileError(f"{path}: not an ASCII ply file") from None
     _check_finite(rows, path, allow_nonfinite)
     return rows
 
@@ -157,8 +199,11 @@ def write_cloud(cloud: PointCloud, path, fmt: CloudFormat = CloudFormat()) -> No
         else:
             with open(tmp, "w", encoding="ascii") as fh:
                 fh.write(_PLY_HEADER.format(n=len(cloud)))
-                for x, y, z, i in rows32:
-                    fh.write(f"{x:.6f} {y:.6f} {z:.6f} {i:.6f}\n")
+                # %.6f of a float32 widened to a Python float is the text of
+                # f"{np.float32(x):.6f}", nan, inf and -0.0 included
+                for lo in range(0, len(rows32), _PLY_WRITE_ROWS):
+                    block = rows32[lo:lo + _PLY_WRITE_ROWS]
+                    fh.write((_PLY_ROW * len(block)) % tuple(block.ravel().tolist()))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -9,6 +9,7 @@ import pytest
 import lidarfog
 from lidarfog import DEFAULT_ALPHA_SCHEDULE, sample_alpha
 from lidarfog.cli import main
+from lidarfog.pointcloud_io import _PLY_HEADER
 from lidarfog.rng import stable_key64, uniform01
 
 
@@ -324,6 +325,20 @@ class TestIntersect:
         assert main(["intersect", str(empty), str(empty), "--output", str(out)]) == 0
         assert out.read_bytes() == b""
         assert "0/0" in capsys.readouterr().out
+
+    def test_malformed_ply_exits_1_and_names_file(self, tmp_path, capsys):
+        good = tmp_path / "good.ply"
+        good.write_text(_PLY_HEADER.format(n=1) + "1 2 3 4\n")
+        for name, content in {
+            "count.ply": _PLY_HEADER.format(n="x") + "1 2 3 4\n",
+            "latin1.ply": _PLY_HEADER.format(n=1) + "1 2 3 4\xe9\n",
+        }.items():
+            bad = tmp_path / name
+            bad.write_bytes(content.encode("latin-1"))
+            rc = main(["intersect", str(bad), str(good), "--format", "ply",
+                       "--output", str(tmp_path / "o.ply")])
+            assert rc == 1, name
+            assert str(bad) in capsys.readouterr().err
 
 
 class TestHelp:

@@ -69,8 +69,9 @@ class TestConversions:
             assert mor_to_alpha(alpha_to_mor(a)) == pytest.approx(a, rel=1e-12)
 
     def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            alpha_to_mor(-0.1)
+        for bad in (-0.1, np.nan):
+            with pytest.raises(ValueError):
+                alpha_to_mor(bad)
         with pytest.raises(ValueError):
             mor_to_beta(0.0)
         with pytest.raises(ValueError):
@@ -273,6 +274,21 @@ class TestFoggifyCloud:
         out = foggify_cloud(cloud, fog06, sensor, table=table06)
         assert out.stats.rescale_factor == 1.0
         assert np.all(out.cloud.intensity == 0.0)
+
+    def test_rescale_skipped_when_factor_overflows(self, fog_zero, table_zero, sensor):
+        # 255 / 1e-307 overflows; 255 / 2e-306 does not
+        xyz = np.array([[20.0, 0.0, 0.0], [0.0, 30.0, 0.0]])
+        for top, rescaled in ((1e-310, False), (1e-307, False), (1e-306, False),
+                              (2e-306, True)):
+            inten = np.array([top, top / 4])
+            out = foggify_cloud(PointCloud(xyz, inten), fog_zero, sensor, table=table_zero)
+            assert math.isfinite(out.stats.rescale_factor)
+            if rescaled:
+                assert out.stats.rescale_factor == 255.0 / top
+                assert out.cloud.intensity[0] == 255.0
+            else:
+                assert out.stats.rescale_factor == 1.0
+                assert out.cloud.intensity.tobytes() == inten.tobytes()
 
     def test_degenerate_points_counted_and_passed_through(self, fog06, table06, sensor):
         xyz = np.array([[0.0, 0.0, 0.0],

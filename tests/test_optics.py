@@ -105,8 +105,9 @@ class TestClearResponse:
 
     def test_target_inside_crossover_rejected(self, sensor):
         e = PulseEnergy(900.0)
-        with pytest.raises(ValueError):
-            clear_response(5.0, sensor.r2, e, self.fog, sensor)
+        for bad in (sensor.r2, np.nan):
+            with pytest.raises(ValueError):
+                clear_response(5.0, bad, e, self.fog, sensor)
 
     def test_integral_over_support(self, sensor):
         # integral of sin^2 over its full period is half the support width
@@ -140,8 +141,9 @@ class TestHardPeakIntensity:
         assert hard_peak_intensity(0.0, 10.0, 0.3) == 0.0
 
     def test_zero_range_rejected(self):
-        with pytest.raises(ValueError):
-            hard_peak_intensity(1.0, 0.0, 0.06)
+        for bad in (0.0, np.nan):
+            with pytest.raises(ValueError):
+                hard_peak_intensity(1.0, bad, 0.06)
 
     def test_strictly_decreasing(self):
         alphas = np.linspace(0.001, 0.3, 50)

@@ -1,5 +1,11 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lidarfog import (
     CloudFormat,
@@ -9,11 +15,64 @@ from lidarfog import (
     read_cloud,
     write_cloud,
 )
+from lidarfog.pointcloud_io import _PLY_HEADER, _PLY_WRITE_ROWS
 
 from oracles import brute_force_match_mask
 
 BIN = CloudFormat("bin")
 PLY = CloudFormat("ply")
+
+
+def reference_ply_text(cloud):
+    """The per-row f-string writer the block writer must match byte for byte."""
+    rows32 = np.column_stack((cloud.xyz, cloud.intensity)).astype("<f4")
+    out = [_PLY_HEADER.format(n=len(cloud))]
+    for x, y, z, i in rows32:
+        out.append(f"{x:.6f} {y:.6f} {z:.6f} {i:.6f}\n")
+    return "".join(out)
+
+
+def reference_ply_body(path):
+    """The whole-file per-line body parser the streamed reader must agree
+    with: rows, or the message that follows the file name."""
+    with open(path, encoding="ascii") as fh:
+        lines = [ln.strip() for ln in fh]
+    end = lines.index("end_header")
+    n = int(lines[2].split()[-1])
+    body = [ln for ln in lines[end + 1:] if ln]
+    if len(body) != n:
+        return f"header declares {n} vertices, found {len(body)}"
+    rows = np.empty((n, 4))
+    for i, ln in enumerate(body):
+        parts = ln.split()
+        try:
+            if len(parts) != 4:
+                raise ValueError
+            rows[i] = [float(v) for v in parts]
+        except ValueError:
+            return f"bad vertex line {i + 1}"
+    return rows
+
+
+def ply_file(path, n, body):
+    path.write_bytes((_PLY_HEADER.format(n=n) + body).encode("ascii"))
+    return path
+
+
+def assert_read_matches_reference(path):
+    expect = reference_ply_body(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # loadtxt warns on a body without data
+        if isinstance(expect, str):
+            with pytest.raises(MalformedFileError, match=re.escape(f"{path}: {expect}") + "$"):
+                read_cloud(path, PLY, allow_nonfinite=True)
+        else:
+            got = read_cloud(path, PLY, allow_nonfinite=True)
+            assert np.column_stack((got.xyz, got.intensity)).tobytes() == expect.tobytes()
+
+
+F32_SPECIALS = (np.nan, np.inf, -np.inf, -0.0, 1e-45, -1e-45, 1e-40, 1e30, 3.4e38, -3.4e38,
+                5e-7, 1.5e-6, 2.5e-6)
 
 
 def f32_cloud(n, seed=0, span=100.0):
@@ -106,17 +165,85 @@ class TestPlyFormat:
                           "property float intensity\nend_header\n1 2 3\n",
             "badprops.ply": "ply\nformat ascii 1.0\nelement vertex 0\n"
                             "property float x\nend_header\n",
+            "countword.ply": _PLY_HEADER.format(n="x") + "1 2 3 4\n",
+            "negcount.ply": _PLY_HEADER.format(n=-3),
+            "latin1.ply": _PLY_HEADER.format(n=1) + "1 2 3 4\xe9\n",
         }
         for name, content in cases.items():
             path = tmp_path / name
-            path.write_text(content)
-            with pytest.raises(MalformedFileError):
+            path.write_bytes(content.encode("latin-1"))
+            with pytest.raises(MalformedFileError, match=re.escape(str(path))):
                 read_cloud(path, PLY)
+        for name in ("countword.ply", "negcount.ply"):
+            with pytest.raises(MalformedFileError, match="unsupported ply layout"):
+                read_cloud(tmp_path / name, PLY)
 
     def test_empty_cloud(self, tmp_path):
         path = tmp_path / "empty.ply"
         write_cloud(PointCloud(np.empty((0, 3)), np.empty(0)), path, PLY)
         assert len(read_cloud(path, PLY)) == 0
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(rows=hnp.arrays(np.float32, st.tuples(st.integers(1, 16), st.just(4)),
+                           elements=st.floats(width=32) | st.sampled_from(F32_SPECIALS)),
+           n=st.sampled_from((0, 1, 5, _PLY_WRITE_ROWS, _PLY_WRITE_ROWS + 1)))
+    def test_block_writer_matches_row_writer(self, tmp_path_factory, rows, n):
+        rows = np.resize(rows, (n, 4)).astype(np.float64)
+        cloud = PointCloud(rows[:, :3], rows[:, 3])
+        path = tmp_path_factory.mktemp("ply") / "w.ply"
+        write_cloud(cloud, path, PLY)
+        assert path.read_bytes() == reference_ply_text(cloud).encode("ascii")
+
+    @pytest.mark.parametrize("n, body", [
+        (2, "1 2 3 4\n5 6 7 8\n"),
+        (2, "\n1 2 3 4\n\n \t \n5 6 7 8\n\n"),     # blank and whitespace-only lines
+        (2, "1\t2\t3\t4\n\t5 \t6 7\t 8\t\n"),        # tabs
+        (2, "1\x0c2 3 4\n5 6 7 8\x0c\n"),              # form feed
+        (2, "1\x0b2 3 4\n5 6 7\x1c8\n"),               # other ASCII whitespace
+        (2, "1 2 3 4\r\n5 6 7 8\r\n"),                 # CRLF
+        (2, "1 2 3 4\r5 6 7 8\r"),                     # CR
+        (2, "1 2 3 4\n5 6 7 8"),                       # no final newline
+        (2, "1_0 2 3 4\n5 6 7 8\n"),                   # float() takes it, loadtxt does not
+        (2, "nan Infinity -inf +NaN\n-nan 1e400 -1e-400 iNf\n"),
+        (2, "+1 .5 5. -0\n1e5 1E-5 +.5e+2 -0.0\n"),
+        (1, "0.100000000000000005551115123125782702118158340454101562 2 3 4\n"),
+        (2, "1 2 3\n5 6 7\n"),                         # 3 columns
+        (2, "1 2 3 4 5\n5 6 7 8 9\n"),                 # 5 columns
+        (2, "1 2 3 4\n5 6 7\n"),
+        (1, "1 2 3 4\n5 6 7 8\n"),                     # too many rows
+        (3, "1 2 3 4\n5 6 7 8\n"),                     # too few rows
+        (2, ""),
+        (2, "\n  \n"),
+        (0, ""),
+        (0, "\n\n"),
+        (0, "1 2 3 4\n"),                              # n = 0 with rows
+        (4, "1\n2\n3\n4\n"),
+        (2, "# comment\n1 2 3 4\n"),
+        (2, "1 2 3 4\n5 6 7 8 # comment\n"),
+        (2, "1 2 3 4\x00\n5 6 7 8\n"),
+        (2, '"1" 2 3 4\n5 6 7 8\n'),
+        (2, "1,2 3 4 5\n5 6 7 8\n"),
+        (2, "0x1p3 2 3 4\n5 6 7 8\n"),
+        (2, "1 2 3 4\nabc 6 7 8\n"),
+        (1, "1j 2 3 4\n"),
+        (1, "- 1 2 3 4\n"),
+    ])
+    def test_reader_matches_line_parser(self, tmp_path, n, body):
+        assert_read_matches_reference(ply_file(tmp_path / "c.ply", n, body))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(rows=st.lists(st.lists(st.sampled_from(
+        ("1", "-2.5", "1e3", "nan", "-inf", "Infinity", "1_0", "0x1", "+.5", "1e400",
+         "abc", "", "#")), min_size=0, max_size=6), max_size=8),
+        seps=st.lists(st.sampled_from((" ", "\t", "  ", "\x0c")), min_size=1),
+        ends=st.lists(st.sampled_from(("\n", "\r\n", "\n\n", " \n")), min_size=1),
+        extra=st.integers(-1, 1))
+    def test_reader_matches_line_parser_on_token_soup(self, tmp_path_factory, rows, seps,
+                                                       ends, extra):
+        body = "".join(seps[i % len(seps)].join(row) + ends[i % len(ends)]
+                       for i, row in enumerate(rows))
+        n = max(len(rows) + extra, 0)
+        assert_read_matches_reference(ply_file(tmp_path_factory.mktemp("ply") / "s.ply", n, body))
 
 
 class TestColumnOverride:

@@ -7,11 +7,13 @@ derandomized so every run checks the same examples.
 """
 
 import json
+import math
 import os
 import tempfile
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -91,9 +93,7 @@ def test_clear_air_is_the_identity(sensor, cloud, seed):
 def test_degenerate_points_pass_through(sensor, cloud, alpha, seed, rescale):
     """Skipped points keep xyz and tag; with rescaling on, their intensity
     is scaled by the cloud's one factor like every other point's.  Below the
-    smallest normal float the product keeps no relative precision, and a
-    factor that overflows (largest finite intensity subnormal) is not
-    compared."""
+    smallest normal float the product keeps no relative precision."""
     fog, table = fog_and_table(alpha, sensor)
     bad, _ = degenerate(cloud, sensor)
     out = foggify_cloud(cloud, fog, sensor, seed=seed, rescale=rescale, table=table)
@@ -101,11 +101,10 @@ def test_degenerate_points_pass_through(sensor, cloud, alpha, seed, rescale):
     assert same_bits(out.cloud.xyz[bad], cloud.xyz[bad])
     assert np.all(out.provenance[bad] == Provenance.HARD_KEPT)
     if rescale:
-        if np.isfinite(out.stats.rescale_factor):
-            np.testing.assert_allclose(out.cloud.intensity[bad],
-                                       cloud.intensity[bad] * out.stats.rescale_factor,
-                                       rtol=1e-12, atol=np.finfo(np.float64).tiny,
-                                       equal_nan=True)
+        np.testing.assert_allclose(out.cloud.intensity[bad],
+                                   cloud.intensity[bad] * out.stats.rescale_factor,
+                                   rtol=1e-12, atol=np.finfo(np.float64).tiny,
+                                   equal_nan=True)
     else:
         assert same_bits(out.cloud.intensity[bad], cloud.intensity[bad])
 
@@ -146,6 +145,32 @@ def test_outputs_ignore_workers_and_block_size(sensor, cloud, alpha, seed, resca
     assert same_bits(out.cloud.intensity, ref.cloud.intensity)
     assert same_bits(out.provenance, ref.provenance)
     assert same_bits(list(out.stats.to_dict().values()), list(ref.stats.to_dict().values()))
+
+
+def soft_hard_ratio(table, fog, r0):
+    """(beta / beta_0) * r0^2 * exp(2 alpha r0) * prefix_max(r0): the intensity-free
+    form of the kernel's soft over hard peak."""
+    i_tmp, _ = query_soft_max(table, r0)
+    return fog.beta / fog.beta_0 * r0 * r0 * math.exp(2.0 * fog.alpha * r0) * i_tmp
+
+
+@PROPERTY
+@given(alpha=st.sampled_from((0.005, 0.03, 0.06, 0.2)),
+       ranges=st.lists(st.floats(0.01, 200.0), min_size=2, max_size=2),
+       intensities=st.lists(st.floats(1e-3, 1e4), min_size=2, max_size=2))
+def test_soft_hard_ratio_ignores_intensity_and_never_decreases(sensor, alpha, ranges,
+                                                                intensities):
+    fog, table = fog_and_table(alpha, sensor)
+    near, far = sorted(ranges)
+    assert soft_hard_ratio(table, fog, near) <= soft_hard_ratio(table, fog, far)
+    for r0 in (near, far):
+        ratio = soft_hard_ratio(table, fog, r0)
+        for inten in intensities:
+            # the kernel's two peaks, as `_transform_block` forms them
+            i_tmp, _ = query_soft_max(table, r0)
+            i_soft = (inten * r0 * r0 / fog.beta_0) * fog.beta * i_tmp
+            i_hard = float(hard_peak_intensity(inten, r0, fog.alpha))
+            assert i_soft / i_hard == pytest.approx(ratio, rel=1e-13, abs=0.0)
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)
