@@ -13,6 +13,7 @@ worker count or point order.
 """
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -165,15 +166,20 @@ def sample_alpha(schedule: Sequence[float], draw: float) -> float:
     return schedule[min(int(draw * len(schedule)), len(schedule) - 1)]
 
 
-def _transform_block(x, y, z, inten, draws, fog: FogParams, sensor: SensorModel,
-                     table: SoftResponseTable):
-    """Vectorized per-point transform; the single source of truth.
+def _transform_block(xyz, inten, draw, fog: FogParams, sensor: SensorModel,
+                     table: SoftResponseTable, soft, skipped):
+    """Vectorized per-point transform of one block; the single source of truth.
 
-    Returns (x_out, y_out, z_out, i_out, soft_mask, skipped_mask).  Skipped
-    points (zero/overlong range, non-finite coordinates, negative or
-    non-finite intensity) pass through unchanged.  The table is read with
-    `_soft_max_at`, the lookup of `query_soft_max`.
+    `xyz` (m, 3) and `inten` (m,) are the block's rows, rewritten in place;
+    `soft` and `skipped` (m,) bool receive the relocated and skipped masks.
+    `draw(k)` returns the noise draws in [0, 1) for the block rows k, and is
+    called once, with the relocated rows only; the other rows keep their
+    coordinates without any arithmetic.  Skipped points (zero/overlong
+    range, non-finite coordinates, negative or non-finite intensity) pass
+    through unchanged.  The table is read with `_soft_max_at`, the lookup of
+    `query_soft_max`.
     """
+    x, y, z = xyz[:, 0], xyz[:, 1], xyz[:, 2]
     r0 = np.sqrt(x * x + y * y + z * z)
     # the comparisons are False for NaN, so they also reject non-finite values
     valid = (r0 > 0.0) & (r0 <= sensor.max_range) & (inten >= 0.0) & (inten < np.inf)
@@ -184,18 +190,17 @@ def _transform_block(x, y, z, inten, draws, fog: FogParams, sensor: SensorModel,
     i_tmp, r_tmp = _soft_max_at(table, r0s)
     i_hard = hard_peak_intensity(inten_s, r0s, fog.alpha)
     i_soft = (inten_s * r0s * r0s / fog.beta_0) * fog.beta * i_tmp
-    soft = valid & (i_soft > i_hard)
+    np.logical_and(valid, i_soft > i_hard, out=soft)
+    np.logical_not(valid, out=skipped)
 
     # noise factor 2^p with p uniform in [-1, 1); the new range n * r_tmp is
     # applied along the unit direction so a median draw lands exactly on the
     # table argmax range
-    noise = np.exp2(2.0 * draws - 1.0)
-    new_range = noise * r_tmp
-    x_out = np.where(soft, (np.where(soft, x, 0.0) / r0s) * new_range, x)
-    y_out = np.where(soft, (np.where(soft, y, 0.0) / r0s) * new_range, y)
-    z_out = np.where(soft, (np.where(soft, z, 0.0) / r0s) * new_range, z)
-    i_out = np.where(soft, i_soft, np.where(valid, i_hard, inten))
-    return x_out, y_out, z_out, i_out, soft, ~valid
+    k = np.flatnonzero(soft)
+    new_range = np.exp2(2.0 * draw(k) - 1.0) * r_tmp[k]
+    xyz[k] = (xyz[k] / r0s[k, None]) * new_range[:, None]
+    np.copyto(inten, i_hard, where=valid)
+    inten[k] = i_soft[k]
 
 
 def _check_table(table: SoftResponseTable, fog: FogParams, sensor: SensorModel):
@@ -228,13 +233,13 @@ def foggify_point(p: Point, fog: FogParams, sensor: SensorModel,
     if not 0.0 <= noise_draw < 1.0:
         raise ValueError(f"noise_draw must lie in [0, 1), got {noise_draw}")
     _check_table(table, fog, sensor)
-    x, y, z, i, soft, _ = _transform_block(
-        np.array([p.x]), np.array([p.y]), np.array([p.z]),
-        np.array([p.intensity]), np.array([noise_draw]),
-        fog, sensor, table,
-    )
+    xyz = np.array([[p.x, p.y, p.z]], dtype=np.float64)
+    inten = np.array([p.intensity], dtype=np.float64)
+    soft = np.empty(1, dtype=bool)
+    _transform_block(xyz, inten, lambda k: np.full(k.size, noise_draw, dtype=np.float64),
+                     fog, sensor, table, soft, np.empty(1, dtype=bool))
     tag = Provenance.SOFT_REPLACED if soft[0] else Provenance.HARD_KEPT
-    return Point(float(x[0]), float(y[0]), float(z[0]), float(i[0])), tag
+    return Point(*map(float, xyz[0]), float(inten[0])), tag
 
 
 def foggify_cloud(
@@ -248,7 +253,9 @@ def foggify_cloud(
 ) -> FoggifyOutcome:
     """Apply the per-point transform to a whole cloud.
 
-    Each point gets a deterministic noise draw keyed by (seed, its index).
+    Each relocated point gets a deterministic noise draw keyed by (seed, its
+    index); points that stay are not drawn.  `workers` threads (default: CPU
+    count) share the fixed blocks; it must be an integer of at least 1.
     With `rescale`, intensities are scaled by one per-cloud linear factor so
     the maximum reaches `cloud.intensity_scale` (mimicking a sensor gain
     stage that always fills the value range); ratios between points are
@@ -256,6 +263,8 @@ def foggify_cloud(
     finite values only.  Output is bit-identical for identical (cloud, fog,
     sensor, seed) regardless of `workers`.
     """
+    if workers is not None and not (isinstance(workers, numbers.Integral) and workers >= 1):
+        raise ValueError(f"workers must be an integer of at least 1, got {workers!r}")
     n = len(cloud)
     if n == 0:
         raise ValueError("cannot foggify an empty point cloud")
@@ -263,24 +272,16 @@ def foggify_cloud(
         table = build_table(fog, sensor)
     _check_table(table, fog, sensor)
 
-    x = np.ascontiguousarray(cloud.xyz[:, 0])
-    y = np.ascontiguousarray(cloud.xyz[:, 1])
-    z = np.ascontiguousarray(cloud.xyz[:, 2])
     inten = cloud.intensity
-
-    xo = np.empty(n)
-    yo = np.empty(n)
-    zo = np.empty(n)
-    io = np.empty(n)
+    xyz = cloud.xyz.copy()
+    io = inten.copy()
     soft = np.empty(n, dtype=bool)
     skipped = np.empty(n, dtype=bool)
 
     def run_block(lo: int, hi: int):
-        draws = uniform01(seed, np.arange(lo, hi, dtype=np.uint64))
-        res = _transform_block(x[lo:hi], y[lo:hi], z[lo:hi], inten[lo:hi],
-                               draws, fog, sensor, table)
-        for dst, src in zip((xo, yo, zo, io, soft, skipped), res):
-            dst[lo:hi] = src
+        # the module global is looked up per call, so wrappers of it see every draw
+        _transform_block(xyz[lo:hi], io[lo:hi], lambda k: uniform01(seed, lo + k),
+                         fog, sensor, table, soft[lo:hi], skipped[lo:hi])
 
     blocks = [(lo, min(lo + _BLOCK_SIZE, n)) for lo in range(0, n, _BLOCK_SIZE)]
     if workers is None:
@@ -308,7 +309,6 @@ def foggify_cloud(
     # fields in declaration order: counts, intensity in and out (min, max, mean), factor
     stats = CloudStats(n, n_soft, int(np.count_nonzero(skipped)), n_soft / n,
                        *_finite_stats(inten), *_finite_stats(io), rescale_factor)
-    out = PointCloud(np.column_stack((xo, yo, zo)), io,
-                     cloud.intensity_scale, cloud.frame_id)
+    out = PointCloud(xyz, io, cloud.intensity_scale, cloud.frame_id)
     provenance = soft.astype(np.uint8)
     return FoggifyOutcome(cloud=out, provenance=provenance, stats=stats)

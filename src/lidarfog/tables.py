@@ -123,10 +123,9 @@ def _soft_max_at(table: SoftResponseTable, r0: np.ndarray):
     way, so the lookup equals the naive scan of the grid bit for bit.
     """
     k = np.minimum(np.floor(r0 / table.grid_step).astype(np.int64), table.n_entries)
-    on_grid = k >= 1
-    ki = np.where(on_grid, k - 1, 0)
-    return (np.where(on_grid, table.prefix_max[ki], 0.0),
-            np.where(on_grid, table.prefix_argmax[ki], 0.0))
+    # entry 0 of each padded column is the (0.0, 0.0) of ranges below the grid
+    return (np.concatenate(([0.0], table.prefix_max)).take(k),
+            np.concatenate(([0.0], table.prefix_argmax)).take(k))
 
 
 def query_soft_max(table: SoftResponseTable, r0: float):

@@ -115,3 +115,34 @@ def brute_force_match_mask(strongest_xyz, last_xyz, tol):
         d = np.sqrt(((last_xyz - p) ** 2).sum(axis=1))
         mask[i] = bool(np.any(d <= tol))
     return mask
+
+
+def dense_transform_reference(x, y, z, inten, draws, fog, sensor, table):
+    """Column-wise per-point transform that draws and relocates every point.
+
+    The dense form of `foggify._transform_block`, the bit-for-bit reference
+    for its sparse one: contiguous x, y, z columns, one noise draw per point,
+    three whole-block `np.where` relocations, and the table read through a
+    masked snap-down lookup.  Returns (x, y, z, intensity, soft, skipped).
+    """
+    r0 = np.sqrt(x * x + y * y + z * z)
+    valid = (r0 > 0.0) & (r0 <= sensor.max_range) & (inten >= 0.0) & (inten < np.inf)
+    r0s = np.where(valid, r0, 1.0)
+    inten_s = np.where(valid, inten, 0.0)
+
+    k = np.minimum(np.floor(r0s / table.grid_step).astype(np.int64), table.n_entries)
+    on_grid = k >= 1
+    ki = np.where(on_grid, k - 1, 0)
+    i_tmp = np.where(on_grid, table.prefix_max[ki], 0.0)
+    r_tmp = np.where(on_grid, table.prefix_argmax[ki], 0.0)
+
+    i_hard = inten_s * np.exp(-2.0 * fog.alpha * r0s)
+    i_soft = (inten_s * r0s * r0s / fog.beta_0) * fog.beta * i_tmp
+    soft = valid & (i_soft > i_hard)
+
+    new_range = np.exp2(2.0 * draws - 1.0) * r_tmp
+    x_out = np.where(soft, (np.where(soft, x, 0.0) / r0s) * new_range, x)
+    y_out = np.where(soft, (np.where(soft, y, 0.0) / r0s) * new_range, y)
+    z_out = np.where(soft, (np.where(soft, z, 0.0) / r0s) * new_range, z)
+    i_out = np.where(soft, i_soft, np.where(valid, i_hard, inten))
+    return x_out, y_out, z_out, i_out, soft, ~valid

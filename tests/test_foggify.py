@@ -230,6 +230,39 @@ class TestFoggifyCloud:
         assert np.array_equal(ref.cloud.xyz, out.cloud.xyz)
         assert np.array_equal(ref.cloud.intensity, out.cloud.intensity)
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.06, 0.5])
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_noise_drawn_only_for_relocated_points(self, sensor, monkeypatch, alpha,
+                                                   workers):
+        fog = fog_from_alpha(alpha)
+        table = build_table(fog, sensor)
+        cloud = random_cloud(3_000, seed=25, span=250.0)
+        cloud.xyz[::97] = 0.0
+        cloud.xyz[5::89, 1] = np.nan
+        cloud.intensity[7::83] = -1.0
+        requested = []
+
+        def recorder(seed, index):
+            requested.append(np.array(index, dtype=np.int64).ravel())
+            return uniform01(seed, index)
+
+        monkeypatch.setattr(foggify, "uniform01", recorder)
+        monkeypatch.setattr(foggify, "_BLOCK_SIZE", 256)
+        out = foggify_cloud(cloud, fog, sensor, seed=8, table=table, workers=workers)
+        drawn = np.concatenate(requested)
+        assert drawn.size == np.unique(drawn).size  # no index twice
+        assert np.array_equal(np.sort(drawn), np.flatnonzero(out.provenance))
+        assert (drawn.size > 0) == (alpha > 0.0)  # none at all in clear air
+
+    def test_bad_workers_rejected(self, fog06, table06, sensor):
+        cloud = random_cloud(100, seed=26)
+        for bad in (0, -2, 2.5, "2"):
+            with pytest.raises(ValueError, match="workers must be an integer of at least 1"):
+                foggify_cloud(cloud, fog06, sensor, table=table06, workers=bad)
+        for good in (1, np.int64(2)):
+            assert foggify_cloud(cloud, fog06, sensor, table=table06,
+                                 workers=good).stats.n_points == 100
+
     def test_direction_preserved(self, fog06, table06, sensor):
         cloud = random_cloud(5_000, seed=17)
         out = foggify_cloud(cloud, fog06, sensor, seed=4, table=table06)

@@ -32,6 +32,7 @@ from lidarfog import (
 )
 from lidarfog.optics import hard_peak_intensity
 from lidarfog.rng import stable_key64, uniform01
+from oracles import dense_transform_reference
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 SPECIALS = (0.0, -0.0, np.nan, np.inf, -np.inf)
@@ -145,6 +146,57 @@ def test_outputs_ignore_workers_and_block_size(sensor, cloud, alpha, seed, resca
     assert same_bits(out.cloud.intensity, ref.cloud.intensity)
     assert same_bits(out.provenance, ref.provenance)
     assert same_bits(list(out.stats.to_dict().values()), list(ref.stats.to_dict().values()))
+
+
+def dense_foggify(cloud, fog, sensor, table, seed, rescale, block):
+    """`foggify_cloud` restated over the dense reference kernel, block by block:
+    the rescale rule and the finite-value stats, then the outcome as arrays."""
+    n = len(cloud)
+    cols = [np.ascontiguousarray(cloud.xyz[:, j]) for j in range(3)]
+    parts = []
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        draws = uniform01(seed, np.arange(lo, hi, dtype=np.uint64))
+        parts.append(dense_transform_reference(*(c[lo:hi] for c in cols),
+                                               cloud.intensity[lo:hi], draws, fog, sensor,
+                                               table))
+    x, y, z, inten, soft, skipped = (np.concatenate(p) for p in zip(*parts))
+    top = inten[np.isfinite(inten)].max(initial=0.0)
+    factor = cloud.intensity_scale / top if top > 0.0 else math.inf
+    if rescale and math.isfinite(factor):
+        inten = (inten / top) * cloud.intensity_scale
+    else:
+        factor = 1.0
+
+    def finite_stats(a):
+        a = a[np.isfinite(a)]
+        return [a.min(), a.max(), a.mean()] if a.size else [math.nan] * 3
+
+    n_soft = int(np.count_nonzero(soft))
+    stats = [n, n_soft, int(np.count_nonzero(skipped)), n_soft / n,
+             *finite_stats(cloud.intensity), *finite_stats(inten), factor]
+    return np.column_stack((x, y, z)), inten, soft.astype(np.uint8), stats
+
+
+@PROPERTY
+@given(cloud=clouds(max_points=30), zero_rows=st.lists(st.integers(0, 29), max_size=3),
+       alpha=st.sampled_from((0.0, 0.005, 0.06, 0.5)), seed=st.integers(0, 2**32),
+       rescale=st.booleans(), workers=st.sampled_from((1, 3)))
+def test_sparse_kernel_matches_dense_reference(sensor, cloud, zero_rows, alpha, seed,
+                                               rescale, workers):
+    """The kernel draws and relocates only the points fog replaces; every output
+    bit equals the dense reference that draws and relocates every point."""
+    for i in zero_rows:
+        cloud.xyz[i % len(cloud)] = 0.0
+    fog, table = fog_and_table(alpha, sensor)
+    with mock.patch.object(foggify, "_BLOCK_SIZE", 7):
+        out = foggify_cloud(cloud, fog, sensor, seed=seed, rescale=rescale, table=table,
+                            workers=workers)
+    xyz, inten, provenance, stats = dense_foggify(cloud, fog, sensor, table, seed, rescale, 7)
+    assert same_bits(out.cloud.xyz, xyz)
+    assert same_bits(out.cloud.intensity, inten)
+    assert same_bits(out.provenance, provenance)
+    assert same_bits(list(out.stats.to_dict().values()), stats)
 
 
 def soft_hard_ratio(table, fog, r0):
