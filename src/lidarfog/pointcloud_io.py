@@ -10,9 +10,13 @@ and written in blocks of `_PLY_WRITE_ROWS` rows.
 `intersect_returns` keeps the points of a strongest-return scan that have a
 counterpart in the last-return scan of the same sweep; everything a
 dual-mode sensor reports in only one of the two echoes is scattering noise,
-not a solid object.
+not a solid object.  It is a numpy cell-hash join: both scans are hashed
+into a grid of cells at least `tol` wide, each strongest point is checked
+against the last-return points of its own cell, and only the points still
+unmatched look in the 26 neighbouring cells.
 """
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -211,22 +215,92 @@ def write_cloud(cloud: PointCloud, path, fmt: CloudFormat = CloudFormat()) -> No
         raise
 
 
+# odd 64-bit multipliers that hash a cell's integer (ix, iy, iz) to one key;
+# two cells that share a key only add candidates, which the distance rule drops
+_CELL_HASH = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9],
+                      dtype=np.uint64)
+# key offsets of the 27 cells around a cell, its own first (the hash is linear)
+_NEIGHBOUR_SHIFTS = (np.array(list(itertools.product((0, -1, 1), repeat=3)),
+                              dtype=np.int64).view(np.uint64) * _CELL_HASH).sum(axis=1)
+_PAIR_BUDGET = 1 << 18  # candidate pairs checked per numpy pass: bounds the join's memory
+
+
+def _cell_keys(xyz: np.ndarray, inv_side: float) -> np.ndarray:
+    cells = np.floor(xyz * inv_side).astype(np.int64).view(np.uint64)
+    return cells[:, 0] * _CELL_HASH[0] + cells[:, 1] * _CELL_HASH[1] + cells[:, 2] * _CELL_HASH[2]
+
+
+def _any_within(p: np.ndarray, q: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                tol2: float) -> np.ndarray:
+    """For each row of `p`: some row of `q[lo:hi]` within the distance rule.
+
+    Candidates are checked a few per point per pass, at most `_PAIR_BUDGET`
+    pairs at once, and a point leaves the loop at its first match.
+    """
+    found = np.zeros(len(p), dtype=bool)
+    live = np.flatnonzero(lo < hi)
+    while live.size:
+        take = np.minimum(hi[live] - lo[live], max(1, _PAIR_BUDGET // live.size))
+        owner = np.repeat(live, take)
+        ends = np.cumsum(take)
+        j = np.arange(ends[-1]) + np.repeat(lo[live] - (ends - take), take)
+        d = p[owner] - q[j]
+        found[owner[d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2] <= tol2]] = True
+        lo[live] += take
+        live = live[~found[live] & (lo[live] < hi[live])]
+    return found
+
+
+def _match_mask(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """Rows of `a` with a row of `b` such that dx*dx + dy*dy + dz*dz <= tol*tol."""
+    mask = np.zeros(len(a), dtype=bool)
+    b = b[np.isfinite(b).all(axis=1)]
+    rows = np.flatnonzero(np.isfinite(a).all(axis=1))  # non-finite points match nothing
+    if len(b) == 0 or len(rows) == 0:
+        return mask
+    tol2 = tol * tol
+    a = a[rows]
+    # `reach` bounds |dx|, |dy| and |dz| of any pair the rule keeps, underflow of
+    # the squares included.  A cell a little wider than `reach` puts such pairs
+    # in the same or adjacent cells; the extent floor keeps cell indices below
+    # 2**40, where rounding `xyz * inv_side` moves an index by far less than the
+    # 2**-10 slack.  With tol*tol = inf every point falls in cell 0.
+    reach = math.sqrt(tol2 + math.ulp(0.0)) * (1.0 + 2.0 ** -30)
+    extent = max(float(np.abs(a).max()), float(np.abs(b).max()))
+    inv_side = (1.0 - 2.0 ** -10) / max(reach, extent * 2.0 ** -40)
+    ka = _cell_keys(a, inv_side)
+    kb = _cell_keys(b, inv_side)
+    order = np.argsort(ka)  # sorted search keys make the binary searches cache-friendly
+    ka, a, rows = ka[order], a[order], rows[order]
+    order = np.argsort(kb)
+    kb, b = kb[order], b[order]
+    hit = np.zeros(len(a), dtype=bool)
+    todo = np.arange(len(a))
+    for shift in _NEIGHBOUR_SHIFTS:
+        key = ka[todo] + shift
+        lo = np.searchsorted(kb, key, side="left")
+        hi = np.searchsorted(kb, key, side="right")
+        hit[todo] = _any_within(a[todo], b, lo, hi, tol2)
+        todo = todo[~hit[todo]]
+        if not todo.size:
+            break
+    mask[rows] = hit
+    return mask
+
+
 def intersect_returns(strongest: PointCloud, last: PointCloud,
                       tol: float = DEFAULT_MATCH_TOLERANCE) -> PointCloud:
     """Points of `strongest` with a neighbor in `last` within Euclidean tol.
 
-    Output preserves the order (and is a subset by index) of `strongest`;
-    tol = 0 keeps exact coordinate matches only.
+    A pair is within tol when, in float64, dx*dx + dy*dy + dz*dz <= tol*tol
+    (summed in that order), the rule of a k-d tree ball query.  A point
+    with a NaN or infinite coordinate is within tol of nothing: it is
+    dropped from `strongest` and confirms nothing in `last`.  Output
+    preserves the order (and is a subset by index) of `strongest`; tol = 0
+    keeps exact coordinate matches only (-0.0 matches 0.0).
     """
     if tol < 0 or math.isnan(tol):
         raise ValueError(f"tolerance must be >= 0, got {tol}")
-    if len(strongest) == 0 or len(last) == 0:
-        mask = np.zeros(len(strongest), dtype=bool)
-    else:
-        from scipy.spatial import cKDTree  # here, not at module level: ~0.3 s per CLI start
-
-        tree = cKDTree(last.xyz)
-        counts = tree.query_ball_point(strongest.xyz, r=tol, workers=-1, return_length=True)
-        mask = counts > 0
+    mask = _match_mask(strongest.xyz, last.xyz, tol)
     return PointCloud(strongest.xyz[mask], strongest.intensity[mask],
                       strongest.intensity_scale, strongest.frame_id)

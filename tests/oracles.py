@@ -109,11 +109,21 @@ def overshadow_range(alpha, n=2000):
 
 
 def brute_force_match_mask(strongest_xyz, last_xyz, tol):
-    """For each strongest point: any last point within tol (pairwise distances)."""
+    """For each strongest point: any last point within tol, pair by pair.
+
+    The rule is the program's: dx*dx + dy*dy + dz*dz <= tol*tol in float64,
+    summed in that order.  Comparing a square root with tol instead disagrees
+    with it on points a few ulp from distance tol.  A point with a non-finite
+    coordinate matches nothing.
+    """
+    tol2 = tol * tol
+    last_xyz = last_xyz[np.all(np.isfinite(last_xyz), axis=1)]
     mask = np.zeros(len(strongest_xyz), dtype=bool)
     for i, p in enumerate(strongest_xyz):
-        d = np.sqrt(((last_xyz - p) ** 2).sum(axis=1))
-        mask[i] = bool(np.any(d <= tol))
+        if not np.all(np.isfinite(p)):
+            continue
+        d = last_xyz - p
+        mask[i] = bool(np.any(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2] <= tol2))
     return mask
 
 

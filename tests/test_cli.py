@@ -340,6 +340,25 @@ class TestIntersect:
             assert rc == 1, name
             assert str(bad) in capsys.readouterr().err
 
+    def test_allow_nonfinite_drops_nonfinite_points(self, tmp_path, capsys):
+        rows = make_bin(tmp_path / "unused.bin", n=100, seed=3)
+        for holder in ("strongest", "last"):
+            strongest, last = rows.copy(), rows.copy()
+            bad = strongest if holder == "strongest" else last
+            bad[7, 0] = np.nan
+            bad[20, 2] = np.inf
+            (tmp_path / "s.bin").write_bytes(strongest.tobytes())
+            (tmp_path / "l.bin").write_bytes(last.tobytes())
+            out = tmp_path / "o.bin"
+            argv = ["intersect", str(tmp_path / "s.bin"), str(tmp_path / "l.bin"),
+                    "--output", str(out), "--tolerance", "0"]
+            assert main(argv) == 1, holder  # rejected at read time without the flag
+            capsys.readouterr()
+            assert main(argv + ["--allow-nonfinite"]) == 0, holder
+            assert "98/100" in capsys.readouterr().out
+            kept = np.fromfile(out, dtype="<f4").reshape(-1, 4)
+            assert np.array_equal(kept, np.delete(rows, [7, 20], axis=0)), holder
+
 
 class TestHelp:
     def test_help_lists_all_flags(self, capsys):
@@ -372,3 +391,17 @@ class TestImports:
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
+
+    def test_intersect_leaves_scipy_unloaded(self, tmp_path):
+        # the dual-return join is numpy only; importing scipy costs ~0.4 s per run
+        rows = make_bin(tmp_path / "scan.bin", n=200, seed=4)
+        (tmp_path / "last.bin").write_bytes(rows[::2].tobytes())
+        src = os.path.dirname(os.path.dirname(lidarfog.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys; from lidarfog.cli import main; "
+                "assert main(sys.argv[1:]) == 0; assert 'scipy' not in sys.modules")
+        proc = subprocess.run([sys.executable, "-c", code, "intersect", "scan.bin", "last.bin",
+                               "--output", "kept.bin"], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "100/200" in proc.stdout

@@ -1,5 +1,8 @@
+import importlib.util
 import re
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,16 +14,27 @@ from lidarfog import (
     CloudFormat,
     MalformedFileError,
     PointCloud,
+    foggify_cloud,
     intersect_returns,
     read_cloud,
     write_cloud,
 )
+from lidarfog.cli import main
 from lidarfog.pointcloud_io import _PLY_HEADER, _PLY_WRITE_ROWS
 
 from oracles import brute_force_match_mask
 
 BIN = CloudFormat("bin")
 PLY = CloudFormat("ply")
+SCENES_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "scenes.py"
+
+
+def load_scenes():
+    """The benchmark's seeded KITTI-like scan generator."""
+    spec = importlib.util.spec_from_file_location("perfbench_scenes", SCENES_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def reference_ply_text(cloud):
@@ -339,3 +353,100 @@ class TestIntersect:
         cloud = f32_cloud(2)
         with pytest.raises(ValueError):
             intersect_returns(cloud, cloud, tol=-0.1)
+
+    def test_nonfinite_points_match_nothing(self):
+        rng = np.random.default_rng(8)
+        last_xyz = rng.uniform(-5, 5, (200, 3))
+        strongest_xyz = last_xyz[:120].copy()
+        strongest_xyz[[3, 40, 77], [0, 2, 1]] = [np.nan, np.inf, -np.inf]
+        last_xyz[[5, 90], [1, 0]] = [np.nan, np.inf]  # rows 5 and 90 confirm nothing
+        strongest = PointCloud(strongest_xyz, np.arange(120.0))
+        last = PointCloud(last_xyz, np.zeros(200))
+        for tol in (0.0, 1e-3, 2.0, np.inf):
+            kept = intersect_returns(strongest, last, tol=tol)
+            assert np.all(np.isfinite(kept.xyz))
+            mask = brute_force_match_mask(strongest.xyz, last.xyz, tol)
+            assert np.array_equal(kept.intensity, np.flatnonzero(mask)), tol
+            assert not mask[[3, 40, 77]].any()
+            if tol < 1.0:
+                assert not mask[[5, 90]].any()
+        nan_only = PointCloud(np.full((4, 3), np.nan), np.zeros(4))
+        assert len(intersect_returns(strongest, nan_only, tol=np.inf)) == 0
+
+    def test_near_boundary_points_follow_the_squared_rule(self):
+        # 12k points tol*(1 + k*1e-16) from a last point along random
+        # directions: the k-d tree ball query, the oracle and the join agree,
+        # and comparing a square root with tol would not
+        from scipy.spatial import cKDTree
+
+        rng = np.random.default_rng(11)
+        tol, n = 0.5, 12_000
+        last_xyz = rng.uniform(-50, 50, (100, 3))
+        u = rng.normal(size=(n, 3))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        offset = tol * (1.0 + rng.integers(-8, 9, n) * 1e-16)
+        strongest_xyz = last_xyz[rng.integers(0, 100, n)] + u * offset[:, None]
+        kept = intersect_returns(PointCloud(strongest_xyz, np.arange(float(n))),
+                                 PointCloud(last_xyz, np.zeros(100)), tol=tol)
+        ball = cKDTree(last_xyz).query_ball_point(strongest_xyz, r=tol, return_length=True) > 0
+        assert np.array_equal(kept.intensity, np.flatnonzero(ball))
+        assert np.array_equal(brute_force_match_mask(strongest_xyz, last_xyz, tol), ball)
+        root = np.array([np.any(np.sqrt(((last_xyz - p) ** 2).sum(axis=1)) <= tol)
+                         for p in strongest_xyz])
+        assert np.count_nonzero(root != ball) > 0
+
+    def test_signed_zero_matches_at_zero_tolerance(self):
+        strongest = PointCloud(np.array([[0.0, -0.0, 1.0], [-0.0, 0.0, -0.0]]), np.zeros(2))
+        last = PointCloud(np.array([[-0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]), np.zeros(2))
+        assert len(intersect_returns(strongest, last, tol=0.0)) == 2
+
+    def test_huge_tolerance_keeps_every_finite_point(self):
+        # 50k x 50k in one cell: every pair would be 2.5e9 candidates
+        rng = np.random.default_rng(9)
+        strongest_xyz = rng.uniform(-100, 100, (50_000, 3))
+        strongest_xyz[:10, 1] = np.nan
+        strongest = PointCloud(strongest_xyz, np.arange(50_000.0))
+        last = PointCloud(rng.uniform(-100, 100, (50_000, 3)), np.zeros(50_000))
+        for tol in (1e6, np.inf):
+            kept = intersect_returns(strongest, last, tol=tol)
+            assert np.array_equal(kept.intensity, np.arange(10.0, 50_000.0)), tol
+
+    def test_crowded_cell_memory_stays_bounded(self):
+        # every strongest point shares its cell with every last point but is
+        # farther than tol from all of them: 10k x 1000 candidate pairs, whose
+        # offsets alone would take 240 MB if built at once
+        rng = np.random.default_rng(10)
+        last = PointCloud(0.01 + rng.uniform(0, 1e-3, (1_000, 3)), np.zeros(1_000))
+        strongest = PointCloud(0.99 - rng.uniform(0, 1e-3, (10_000, 3)), np.zeros(10_000))
+        tracemalloc.start()
+        try:
+            kept = intersect_returns(strongest, last, tol=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(kept) == 0
+        assert peak < 64e6
+
+    @pytest.mark.parametrize("fmt", [BIN, PLY], ids=["bin", "ply"])
+    def test_scan_output_equals_kdtree_filter(self, tmp_path, fmt, sensor, fog06, table06):
+        """On a foggified ~120k-point scan the output file has the bytes of the
+        k-d tree filter this join replaced."""
+        from scipy.spatial import cKDTree
+
+        rows = load_scenes().make_scan(401_000)
+        clear = PointCloud(rows[:, :3].astype(np.float64), rows[:, 3].astype(np.float64))
+        foggy = foggify_cloud(clear, fog06, sensor, seed=401, table=table06).cloud
+        paths = {}
+        for name, cloud in (("strongest", foggy), ("last", clear)):
+            paths[name] = tmp_path / f"{name}.{fmt.kind}"
+            write_cloud(cloud, paths[name], fmt)
+        strongest = read_cloud(paths["strongest"], fmt)
+        tree = cKDTree(read_cloud(paths["last"], fmt).xyz)
+        for tol in ("0", "1e-3", "0.5"):
+            out = tmp_path / f"out_{tol}.{fmt.kind}"
+            assert main(["intersect", str(paths["strongest"]), str(paths["last"]),
+                         "--format", fmt.kind, "--tolerance", tol, "--output", str(out)]) == 0
+            mask = tree.query_ball_point(strongest.xyz, r=float(tol), return_length=True) > 0
+            ref = tmp_path / f"ref_{tol}.{fmt.kind}"
+            write_cloud(PointCloud(strongest.xyz[mask], strongest.intensity[mask]), ref, fmt)
+            assert out.read_bytes() == ref.read_bytes(), tol

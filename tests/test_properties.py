@@ -1,4 +1,5 @@
-"""Property tests of the per-point transform and the sweep plan.
+"""Property tests of the per-point transform, the sweep plan and the
+dual-return intersection.
 
 Clouds mix ordinary points (coordinates within +-150 m, so some ranges lie
 beyond the 200 m table, intensities in [-50, 300], so some are negative)
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.spatial import cKDTree
 
 import lidarfog.cli as cli
 import lidarfog.foggify as foggify
@@ -27,12 +29,13 @@ from lidarfog import (
     fog_from_alpha,
     foggify_cloud,
     foggify_point,
+    intersect_returns,
     query_soft_max,
     sample_alpha,
 )
 from lidarfog.optics import hard_peak_intensity
 from lidarfog.rng import stable_key64, uniform01
-from oracles import dense_transform_reference
+from oracles import brute_force_match_mask, dense_transform_reference
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 SPECIALS = (0.0, -0.0, np.nan, np.inf, -np.inf)
@@ -248,3 +251,55 @@ def test_sweep_builds_one_table_per_drawn_alpha(seed, n_files, schedule):
     assert manifest["files"] == drawn
     built = [call.args[0].alpha for call in build.call_args_list]
     assert sorted(built) == sorted(set(drawn.values()))
+
+
+UNIT = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def dual_returns(draw):
+    """(strongest xyz, last xyz, tol): a last-return scan with repeated rows
+    and signed zeros, and a strongest scan built around it from exact copies,
+    copies with the signs of their zeros flipped, copies moved exactly tol
+    along an axis, copies moved tol*(1 + k*1e-16) along a drawn direction,
+    and free points."""
+    tol = draw(st.sampled_from((0.0, 1e-12, 1e-3, 1e6)))
+    # coordinates about tol in size put many distances within an ulp of tol
+    scale = draw(st.sampled_from((tol or 1.0, 1.0, 150.0, 1e15)))
+    m = draw(st.integers(1, 30))
+    last = draw(hnp.arrays(np.float64, (m, 3), elements=UNIT)) * scale
+    for i, j, zero in draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, 2),
+                                              st.sampled_from((0.0, -0.0))), max_size=6)):
+        last[i, j] = zero
+    for i, k in draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)),
+                              max_size=4)):
+        last[i] = last[k]
+    rows = []
+    kinds = st.sampled_from(("copy", "flip-zeros", "axis", "direction", "free"))
+    for kind, i in draw(st.lists(st.tuples(kinds, st.integers(0, m - 1)), min_size=1,
+                                 max_size=40)):
+        p = last[i].copy()
+        if kind == "flip-zeros":
+            p = np.where(p == 0.0, -p, p)
+        elif kind == "axis":
+            p[draw(st.integers(0, 2))] += draw(st.sampled_from((-tol, tol)))
+        elif kind == "direction":
+            u = np.array([draw(UNIT) for _ in range(3)])
+            norm = math.sqrt(float(u @ u))
+            if norm > 0.0:
+                p += u / norm * (tol * (1.0 + draw(st.integers(-8, 8)) * 1e-16))
+        elif kind == "free":
+            p = np.array([draw(UNIT) for _ in range(3)]) * scale
+        rows.append(p)
+    return np.array(rows), last, tol
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=dual_returns())
+def test_intersect_mask_equals_kdtree_ball_query(case):
+    strongest, last, tol = case
+    kept = intersect_returns(PointCloud(strongest, np.arange(len(strongest), dtype=np.float64)),
+                             PointCloud(last, np.zeros(len(last))), tol=tol)
+    ball = cKDTree(last).query_ball_point(strongest, r=tol, return_length=True) > 0
+    assert np.array_equal(kept.intensity, np.flatnonzero(ball))
+    assert np.array_equal(brute_force_match_mask(strongest, last, tol), ball)
