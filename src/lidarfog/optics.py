@@ -252,32 +252,21 @@ def _panel_ladder(x_max: float, r2: float) -> np.ndarray:
 def _soft_block(r: np.ndarray, fog: FogParams, sensor: SensorModel,
                 w: np.ndarray, hard_range: Optional[float]) -> np.ndarray:
     """`soft_response_integrals` for one block of ranges."""
-    out = np.zeros(len(r))
     x_hi = r if hard_range is None else np.minimum(r, hard_range)
     x_lo = np.maximum(sensor.r1, r - sensor.pulse_span)
-    live = x_hi > x_lo
-    if not live.any():
-        return out
-    r, x_hi, x_lo = r[live], x_hi[live], x_lo[live]
 
-    # each range's panel edges, descending: x_hi, the ladder cuts strictly
-    # inside (x_lo, x_hi), x_lo; flattened range after range
-    ladder = _panel_ladder(float(x_hi.max()), sensor.r2)[::-1]
-    keep = np.ones((len(r), len(ladder) + 2), dtype=bool)
-    keep[:, 1:-1] = (ladder > x_lo[:, None]) & (ladder < x_hi[:, None])
-    grid = np.empty(keep.shape)
-    grid[:, 0] = x_hi
-    grid[:, 1:-1] = ladder
-    grid[:, -1] = x_lo
-    edges = grid[keep]
-    n_edges = keep.sum(axis=1)
-    is_panel = np.ones(len(edges) - 1, dtype=bool)
-    is_panel[np.cumsum(n_edges)[:-1] - 1] = False  # one range's x_lo -> the next's x_hi
-    n_panels = n_edges - 1
-    first = np.cumsum(n_panels) - n_panels  # index of each range's first panel
-    xa = edges[:-1][is_panel]
-    xb = edges[1:][is_panel]
-    rp = np.repeat(r, n_panels)
+    # each range's panel edges, descending, one row per range: x_hi, the
+    # ladder clipped to [x_lo, x_hi], x_lo.  A clipped cut makes a zero-width
+    # panel, which is never evaluated and adds +0.0 to a sum of terms >= 0,
+    # so a range's total depends on its own panels alone.  The ladder stops
+    # at the largest x_hi of the live ranges (x_hi > x_lo): a NaN range would
+    # empty it, an inf range run it to overflow.
+    x_top = x_hi.max(where=x_hi > x_lo, initial=-np.inf)
+    ladder = _panel_ladder(float(x_top), sensor.r2)[::-1]
+    edges = np.column_stack((x_hi, np.clip(ladder, x_lo[:, None], x_hi[:, None]), x_lo))
+    real = edges[:, :-1] > edges[:, 1:]
+    xa, xb = edges[:, :-1][real], edges[:, 1:][real]
+    rp = np.broadcast_to(r[:, None], real.shape)[real]
 
     # one Simpson rule per panel, on the lag interval [a, b] it maps to
     n = len(w) - 1
@@ -288,14 +277,13 @@ def _soft_block(r: np.ndarray, fog: FogParams, sensor: SensorModel,
     y = soft_integrand(t, rp[:, None], fog, sensor)
     # row by row: a batched product may sum in another order
     dots = np.fromiter(map(w.dot, y), dtype=np.float64, count=len(y))
-    terms = (h / 3.0) * dots
+    terms = np.zeros(real.shape)
+    terms[real] = (h / 3.0) * dots
 
     total = np.zeros(len(r))
-    for j in range(int(n_panels.max())):  # panel order, descending in range
-        has = n_panels > j
-        total[has] += terms[first[has] + j]
-    out[live] = total
-    return out
+    for column in terms.T:  # panel order, descending in range
+        total += column
+    return total
 
 
 def soft_response_integrals(

@@ -27,7 +27,6 @@ from .foggify import PointCloud
 
 BIN_KIND = "bin"
 PLY_KIND = "ply"
-RECORD_BYTES = 16  # four little-endian float32 per point
 DEFAULT_MATCH_TOLERANCE = 1e-3  # [m]
 
 

@@ -327,6 +327,23 @@ class TestSoftResponseIntegrals:
             assert [soft_response_integral(x, fog06, sensor, hard_range=hard)
                     for x in r] == ref
 
+    @pytest.mark.parametrize("tau_h", [20e-9, 50e-9])
+    @pytest.mark.parametrize("hard", [None, 30.0])
+    def test_nonfinite_ranges_read_zero_and_leave_their_block_alone(self, fog06, tau_h, hard):
+        # a NaN or inf range in a block must not move the panel ladder the
+        # block's finite ranges are integrated on
+        sensor = SensorModel(tau_h=tau_h)
+        grid = np.arange(1, 2001) * sensor.range_step
+        clean = soft_response_integrals(grid, fog06, sensor, hard_range=hard)
+        bad = np.arange(0, len(grid), optics._BLOCK_SIZE)[:, None] + [3, 100, 200]
+        dirty = grid.copy()
+        dirty[bad] = [np.nan, np.inf, -np.inf]
+        got = soft_response_integrals(dirty, fog06, sensor, hard_range=hard)
+        assert got[bad].ravel().tolist() == [0.0] * bad.size
+        rest = np.ones(len(grid), dtype=bool)
+        rest[bad] = False
+        assert got[rest].tobytes() == clean[rest].tobytes()
+
 
 class TestConvolutionEquivalence:
     def test_attenuated_clear_response_equals_sifted_convolution(self, sensor):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,18 @@ class TestBuild:
     def test_values_are_read_only(self, table06):
         with pytest.raises(ValueError):
             table06.values[0] = 1.0
+
+    def test_build_peak_memory_stays_bounded(self):
+        # blocks of optics._BLOCK_SIZE ranges keep the quadrature temporaries
+        # small: about 2 MB at the default sensor, 7.5 MB in one block
+        fog, sensor = fog_from_alpha(0.06), SensorModel()
+        tracemalloc.start()
+        try:
+            build_table(fog, sensor)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestPrefixHelper:
