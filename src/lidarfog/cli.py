@@ -32,6 +32,8 @@ from .foggify import (
 )
 from .optics import (
     DEFAULT_BETA_0,
+    MAX_RANGE,
+    RANGE_STEP,
     FogParams,
     PulseEnergy,
     SensorModel,
@@ -58,8 +60,12 @@ _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
 
 
-def _add_common_flags(p):
+def _add_config_flag(p):
     p.add_argument("--config", help="key=value file mirroring the flags; flags win")
+
+
+def _add_io_flags(p):
+    _add_config_flag(p)
     p.add_argument("--format", choices=("bin", "ply"), default="bin",
                    help="point cloud file format (default: bin)")
     p.add_argument("--columns", type=int, default=4,
@@ -89,9 +95,8 @@ def _add_fog_flags(p, with_alpha=True):
                    help="hard-target differential reflectivity [1/sr] (default: 1e-6/pi)")
 
 
-def _sensor_from_args(args, peak_correction: bool = False) -> SensorModel:
-    return SensorModel(tau_h=args.tau_h, r1=args.r1, r2=args.r2,
-                       peak_correction=peak_correction)
+def _sensor_from_args(args) -> SensorModel:
+    return SensorModel(tau_h=args.tau_h, r1=args.r1, r2=args.r2)
 
 
 def _workers_from_args(args):
@@ -217,22 +222,22 @@ def cmd_sweep(args) -> int:
 
 def cmd_response(args) -> int:
     fog = _fog_from_args(args)
-    sensor = _sensor_from_args(args, peak_correction=args.peak_correction)
+    sensor = _sensor_from_args(args)
     r0 = args.r0
     if not r0 > sensor.r2:
         raise ValueError(f"--r0 must exceed the crossover end r2={sensor.r2}")
-    if r0 > sensor.max_range:
-        raise ValueError(f"--r0 must be within max_range={sensor.max_range}")
+    if r0 > MAX_RANGE:
+        raise ValueError(f"--r0 must be within {MAX_RANGE} m")
     ca_p0 = args.ca_p0 if args.ca_p0 is not None else 100.0 * r0 * r0 / fog.beta_0
     energy = PulseEnergy(ca_p0)
 
-    step = sensor.range_step
     span = sensor.pulse_span
-    shift = span / 2.0 if sensor.peak_correction else 0.0
-    n = int((r0 + span) / step)
-    grid = (np.arange(n, dtype=np.int64) + 1) * step
+    shift = span / 2.0 if args.peak_correction else 0.0
+    n = int((r0 + span) / RANGE_STEP)
+    grid = (np.arange(n, dtype=np.int64) + 1) * RANGE_STEP
 
-    p_hard = np.exp(-2.0 * fog.alpha * r0) * clear_response(grid, r0, energy, fog, sensor)
+    p_hard = np.exp(-2.0 * fog.alpha * r0) * clear_response(
+        grid, r0, energy, fog, sensor, peak_correction=args.peak_correction)
     p_soft = ca_p0 * fog.beta * soft_response_integrals(grid + shift, fog, sensor,
                                                         hard_range=r0)
 
@@ -281,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--provenance", help="write per-point provenance mask here "
                                         "(one byte per point: 0 kept, 1 relocated)")
     p.add_argument("--workers", type=int, help="worker threads (default: cpu count)")
-    _add_common_flags(p)
+    _add_io_flags(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="foggify a directory with per-file alpha sampling")
@@ -295,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-rescale", action="store_true")
     p.add_argument("--workers", type=int, help="parallel files (default: cpu count)")
-    _add_common_flags(p)
+    _add_io_flags(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("response", help="hard/soft response curves for one target range")
@@ -308,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sensor_flags(p)
     p.add_argument("--peak-correction", action="store_true",
                    help="report response maxima shifted by -c*tau_h/2")
-    _add_common_flags(p)
+    _add_config_flag(p)
     p.set_defaults(func=cmd_response)
 
     p = sub.add_parser("intersect", help="strongest/last dual-return intersection")
@@ -317,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.add_argument("--tolerance", type=float, default=DEFAULT_MATCH_TOLERANCE,
                    help=f"match distance [m] (default: {DEFAULT_MATCH_TOLERANCE})")
-    _add_common_flags(p)
+    _add_io_flags(p)
     p.set_defaults(func=cmd_intersect)
 
     return parser

@@ -26,6 +26,7 @@ from .optics import (
     BETA_MOR_SCALE,
     MOR_ALPHA_PRODUCT,
     DEFAULT_BETA_0,
+    MAX_RANGE,
     FogParams,
     SensorModel,
     hard_peak_intensity,
@@ -166,8 +167,8 @@ def sample_alpha(schedule: Sequence[float], draw: float) -> float:
     return schedule[min(int(draw * len(schedule)), len(schedule) - 1)]
 
 
-def _transform_block(xyz, inten, draw, fog: FogParams, sensor: SensorModel,
-                     table: SoftResponseTable, soft, skipped):
+def _transform_block(xyz, inten, draw, fog: FogParams, table: SoftResponseTable,
+                     soft, skipped):
     """Vectorized per-point transform of one block; the single source of truth.
 
     `xyz` (m, 3) and `inten` (m,) are the block's rows, rewritten in place;
@@ -182,7 +183,7 @@ def _transform_block(xyz, inten, draw, fog: FogParams, sensor: SensorModel,
     x, y, z = xyz[:, 0], xyz[:, 1], xyz[:, 2]
     r0 = np.sqrt(x * x + y * y + z * z)
     # the comparisons are False for NaN, so they also reject non-finite values
-    valid = (r0 > 0.0) & (r0 <= sensor.max_range) & (inten >= 0.0) & (inten < np.inf)
+    valid = (r0 > 0.0) & (r0 <= MAX_RANGE) & (inten >= 0.0) & (inten < np.inf)
     # sanitized copies keep the dead lanes free of stray inf/nan arithmetic
     r0s = np.where(valid, r0, 1.0)
     inten_s = np.where(valid, inten, 0.0)
@@ -228,7 +229,7 @@ def foggify_point(p: Point, fog: FogParams, sensor: SensorModel,
 
     `noise_draw` in [0, 1) drives the range jitter of a relocated point.
     Degenerate inputs (zero range, non-finite values, negative intensity,
-    range beyond max_range) come back unchanged and tagged HARD_KEPT.
+    range beyond MAX_RANGE) come back unchanged and tagged HARD_KEPT.
     """
     if not 0.0 <= noise_draw < 1.0:
         raise ValueError(f"noise_draw must lie in [0, 1), got {noise_draw}")
@@ -237,7 +238,7 @@ def foggify_point(p: Point, fog: FogParams, sensor: SensorModel,
     inten = np.array([p.intensity], dtype=np.float64)
     soft = np.empty(1, dtype=bool)
     _transform_block(xyz, inten, lambda k: np.full(k.size, noise_draw, dtype=np.float64),
-                     fog, sensor, table, soft, np.empty(1, dtype=bool))
+                     fog, table, soft, np.empty(1, dtype=bool))
     tag = Provenance.SOFT_REPLACED if soft[0] else Provenance.HARD_KEPT
     return Point(*map(float, xyz[0]), float(inten[0])), tag
 
@@ -281,7 +282,7 @@ def foggify_cloud(
     def run_block(lo: int, hi: int):
         # the module global is looked up per call, so wrappers of it see every draw
         _transform_block(xyz[lo:hi], io[lo:hi], lambda k: uniform01(seed, lo + k),
-                         fog, sensor, table, soft[lo:hi], skipped[lo:hi])
+                         fog, table, soft[lo:hi], skipped[lo:hi])
 
     blocks = [(lo, min(lo + _BLOCK_SIZE, n)) for lo in range(0, n, _BLOCK_SIZE)]
     if workers is None:

@@ -25,6 +25,11 @@ import numpy as np
 
 SPEED_OF_LIGHT = 299_792_458.0  # [m/s]
 
+# Range grid of the soft-return tables and response curves: 10 cm steps out
+# to 200 m.  Points beyond MAX_RANGE are passed through.
+RANGE_STEP = 0.1  # [m]
+MAX_RANGE = 200.0  # [m]
+
 # alpha * MOR: optical attenuation versus meteorological optical range for
 # fog droplets in the NIR band (alpha = 0.06/m <-> MOR = 50 m).
 MOR_ALPHA_PRODUCT = 3.0
@@ -50,43 +55,28 @@ _BLOCK_SIZE = 256
 
 @dataclass(frozen=True)
 class SensorModel:
-    """Static optics of the sensor plus the evaluation grid.
+    """Static optics of the sensor.
 
-    tau_h            half-power width of the sin^2 transmit pulse [s]
-    r1, r2           start/end of the transmitter/receiver crossover ramp [m]
-    c                propagation speed [m/s]
-    range_step       grid spacing for tabulated responses [m]
-    max_range        table extent; points beyond it are passed through [m]
-    peak_correction  shift reported response maxima by -c*tau_h/2 (sensors
-                     that report the peak rather than the rising edge)
+    tau_h   half-power width of the sin^2 transmit pulse [s]
+    r1, r2  start/end of the transmitter/receiver crossover ramp [m]
     """
 
     tau_h: float = 20e-9
     r1: float = 0.9
     r2: float = 1.0
-    c: float = SPEED_OF_LIGHT
-    range_step: float = 0.1
-    max_range: float = 200.0
-    peak_correction: bool = False
 
     def __post_init__(self):
-        if not self.tau_h > 0:
-            raise ValueError(f"tau_h must be positive, got {self.tau_h}")
+        if not 0 < SPEED_OF_LIGHT * self.tau_h < np.inf:
+            raise ValueError(f"tau_h must be positive with a finite pulse span, got {self.tau_h}")
         if not 0 < self.r1 < self.r2:
             raise ValueError(f"need 0 < r1 < r2, got r1={self.r1} r2={self.r2}")
         if not self.r2 < 2.0:
             raise ValueError(f"r2 must be below 2 m, got {self.r2}")
-        if not self.range_step > 0:
-            raise ValueError(f"range_step must be positive, got {self.range_step}")
-        if not self.max_range > self.r2:
-            raise ValueError(f"max_range must exceed r2, got {self.max_range}")
-        if not self.c > 0:
-            raise ValueError(f"c must be positive, got {self.c}")
 
     @property
     def pulse_span(self) -> float:
         """Range extent c*tau_h swept by the pulse support [m]."""
-        return self.c * self.tau_h
+        return SPEED_OF_LIGHT * self.tau_h
 
 
 @dataclass(frozen=True)
@@ -135,8 +125,8 @@ class PulseEnergy:
     ca_p0: float
 
     def __post_init__(self):
-        if not self.ca_p0 >= 0:
-            raise ValueError(f"ca_p0 must be >= 0, got {self.ca_p0}")
+        if not 0 <= self.ca_p0 < np.inf:
+            raise ValueError(f"ca_p0 must be finite and >= 0, got {self.ca_p0}")
 
     @classmethod
     def from_reference(cls, intensity: float, r0: float, beta_0: float = DEFAULT_BETA_0):
@@ -171,7 +161,8 @@ def transmission(r, alpha):
     return np.exp(-alpha * r)
 
 
-def clear_response(r, r0, energy: PulseEnergy, fog: FogParams, sensor: SensorModel):
+def clear_response(r, r0, energy: PulseEnergy, fog: FogParams, sensor: SensorModel,
+                   peak_correction: bool = False):
     """Clear-weather received power of a hard target at range r0.
 
     (ca_p0 * beta_0 / r0^2) * sin^2(pi*(r - r0) / (c*tau_h)) on
@@ -185,7 +176,7 @@ def clear_response(r, r0, energy: PulseEnergy, fog: FogParams, sensor: SensorMod
     r = np.asarray(r, dtype=np.float64)
     span = sensor.pulse_span
     u = r - r0
-    if sensor.peak_correction:
+    if peak_correction:
         u = u + span / 2.0
     inside = (u >= 0.0) & (u <= span)
     amp = energy.ca_p0 * fog.beta_0 / (r0 * r0)
@@ -217,7 +208,7 @@ def soft_integrand(t, r, fog: FogParams, sensor: SensorModel):
     applied by the caller when evaluating past the target.
     """
     t = np.asarray(t, dtype=np.float64)
-    x = r - sensor.c * t / 2.0
+    x = r - SPEED_OF_LIGHT * t / 2.0
     inside = x > sensor.r1
     xs = np.where(inside, x, 1.0)
     pulse = np.sin(np.pi * t / (2.0 * sensor.tau_h)) ** 2
@@ -270,8 +261,8 @@ def _soft_block(r: np.ndarray, fog: FogParams, sensor: SensorModel,
 
     # one Simpson rule per panel, on the lag interval [a, b] it maps to
     n = len(w) - 1
-    a = 2.0 * (rp - xa) / sensor.c
-    b = 2.0 * (rp - xb) / sensor.c
+    a = 2.0 * (rp - xa) / SPEED_OF_LIGHT
+    b = 2.0 * (rp - xb) / SPEED_OF_LIGHT
     h = (b - a) / n
     t = a[:, None] + h[:, None] * np.arange(n + 1)
     y = soft_integrand(t, rp[:, None], fog, sensor)

@@ -16,9 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import optics
-from .optics import FogParams, SensorModel, soft_response_integral, soft_response_integrals
-
-_MAX_ENTRIES = 1_000_000  # cap on table entries; read at call time
+from .optics import (
+    MAX_RANGE,
+    RANGE_STEP,
+    FogParams,
+    SensorModel,
+    soft_response_integral,
+    soft_response_integrals,
+)
 
 
 @dataclass(frozen=True)
@@ -49,20 +54,8 @@ class SoftResponseTable:
 
 
 def sensor_fingerprint(sensor: SensorModel) -> int:
-    """64-bit fingerprint of everything the tabulated values depend on.
-
-    `peak_correction` is left out: no table value reads it.
-    """
-    payload = struct.pack(
-        "<6di",
-        sensor.tau_h,
-        sensor.r1,
-        sensor.r2,
-        sensor.c,
-        sensor.range_step,
-        sensor.max_range,
-        optics._SUBINTERVALS,
-    )
+    """64-bit fingerprint of everything the tabulated values depend on."""
+    payload = struct.pack("<3di", sensor.tau_h, sensor.r1, sensor.r2, optics._SUBINTERVALS)
     return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "little")
 
 
@@ -83,26 +76,21 @@ def _prefix_max_argmax(values: np.ndarray, grid_step: float):
 
 
 def build_table(fog: FogParams, sensor: SensorModel) -> SoftResponseTable:
-    """Tabulate the soft-return integral over (0, max_range] at range_step.
+    """Tabulate the soft-return integral over (0, MAX_RANGE] at RANGE_STEP.
 
     All entries come from one `soft_response_integrals` call, whose values
     do not depend on the batch, so each entry equals the scalar
     `soft_response_integral` at its range bit for bit and table lookups are
     bitwise identical to the naive per-point scan.
     """
-    step = sensor.range_step
-    n = int(np.ceil(sensor.max_range / step))
-    if n > _MAX_ENTRIES:
-        raise ValueError(
-            f"table would need {n} entries (cap {_MAX_ENTRIES}); raise range_step"
-        )
-    values = soft_response_integrals(np.arange(1, n + 1) * step, fog, sensor)
-    pm, am = _prefix_max_argmax(values, step)
+    n = int(np.ceil(MAX_RANGE / RANGE_STEP))
+    values = soft_response_integrals(np.arange(1, n + 1) * RANGE_STEP, fog, sensor)
+    pm, am = _prefix_max_argmax(values, RANGE_STEP)
     for arr in (values, pm, am):
         arr.setflags(write=False)
     return SoftResponseTable(
         alpha=fog.alpha,
-        grid_step=step,
+        grid_step=RANGE_STEP,
         values=values,
         prefix_max=pm,
         prefix_argmax=am,
@@ -150,11 +138,10 @@ def naive_soft_max(r0: float, fog: FogParams, sensor: SensorModel):
     per point).  Kept as the documented slow path; `query_soft_max` against
     a prebuilt table returns identical bits at a tiny fraction of the cost.
     """
-    step = sensor.range_step
     best = 0.0
     best_r = 0.0
-    for k in range(1, int(r0 / step) + 1):
-        r = k * step
+    for k in range(1, int(r0 / RANGE_STEP) + 1):
+        r = k * RANGE_STEP
         v = soft_response_integral(r, fog, sensor)
         if v > best:
             best = v

@@ -10,6 +10,8 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
+from lidarfog.optics import MAX_RANGE
+
 
 def soft_integrand_scalar(t, r, alpha, tau_h, r1, r2, c):
     """Literal composition of the soft-return integrand at one instant."""
@@ -136,7 +138,7 @@ def dense_transform_reference(x, y, z, inten, draws, fog, sensor, table):
     masked snap-down lookup.  Returns (x, y, z, intensity, soft, skipped).
     """
     r0 = np.sqrt(x * x + y * y + z * z)
-    valid = (r0 > 0.0) & (r0 <= sensor.max_range) & (inten >= 0.0) & (inten < np.inf)
+    valid = (r0 > 0.0) & (r0 <= MAX_RANGE) & (inten >= 0.0) & (inten < np.inf)
     r0s = np.where(valid, r0, 1.0)
     inten_s = np.where(valid, inten, 0.0)
 

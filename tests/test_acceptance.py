@@ -40,6 +40,7 @@ from lidarfog import (
     write_cloud,
 )
 from lidarfog import fog_from_alpha
+from lidarfog.optics import RANGE_STEP, SPEED_OF_LIGHT
 
 from oracles import (
     brute_force_match_mask,
@@ -171,7 +172,7 @@ def test_criterion_3_convolution_equivalence(sensor):
         for r in np.linspace(r0 - 0.5, r0 + span + 0.5, 25):
             # convolve the pulse with the attenuated Dirac impulse response
             # by analytic sifting at lag t* = 2(r - r0)/c
-            t_star = 2.0 * (r - r0) / sensor.c
+            t_star = 2.0 * (r - r0) / SPEED_OF_LIGHT
             if 0.0 <= t_star <= 2.0 * sensor.tau_h:
                 pulse = ca * math.sin(math.pi * t_star / (2.0 * sensor.tau_h)) ** 2
             else:
@@ -192,11 +193,11 @@ def test_criterion_4_table_naive_bitexact(tables, sensor):
     mismatches = 0
     for alpha, table in tables.items():
         fog = FogParams(alpha=alpha, beta=0.0)
-        direct = [soft_response_integral(k * sensor.range_step, fog, sensor)
+        direct = [soft_response_integral(k * RANGE_STEP, fog, sensor)
                   for k in range(1, table.n_entries + 1)]
         for r0 in rng.uniform(0.01, 200.0, 1000):
             got = query_soft_max(table, float(r0))
-            k_max = min(int(r0 / sensor.range_step), table.n_entries)
+            k_max = min(int(r0 / RANGE_STEP), table.n_entries)
             ref = naive_running_max(direct, k_max)
             if got != ref:
                 mismatches += 1

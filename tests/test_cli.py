@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -94,6 +95,8 @@ class TestSimulate:
         assert main(base) == 2                       # neither alpha nor mor
         assert main(base + ["--alpha", "-1"]) == 2   # invalid value
         assert main(base + ["--alpha", "0.06", "--r1", "2", "--r2", "1"]) == 2
+        for tau_h in ("inf", "1e300"):  # no finite pulse span
+            assert main(base + ["--alpha", "0.06", "--tau-h", tau_h]) == 2
 
     def test_empty_input_exits_1_and_names_file(self, tmp_path, capsys):
         empty = tmp_path / "empty.bin"
@@ -223,6 +226,14 @@ class TestSweep:
                   "--peak-correction"])
         assert exc.value.code == 2
 
+    def test_nonfinite_pulse_span_exits_2(self, tmp_path):
+        src = self._make_dir(tmp_path, n_files=1)
+        dst = tmp_path / "out"
+        for tau_h in ("inf", "1e300"):
+            assert main(["sweep", "--input-dir", str(src), "--output-dir", str(dst),
+                         "--tau-h", tau_h]) == 2
+        assert not dst.exists()
+
     def test_empty_dir_exits_2(self, tmp_path):
         src = tmp_path / "in"
         src.mkdir()
@@ -283,6 +294,22 @@ class TestResponse:
     def test_invalid_r0_exits_2(self, tmp_path):
         assert main(["response", "--r0", "0.5", "--alpha", "0.06",
                      "--output", str(tmp_path / "r.csv")]) == 2
+
+    def test_nonfinite_pulse_span_or_energy_exits_2(self, tmp_path):
+        base = ["response", "--r0", "30", "--alpha", "0.06", "--output", str(tmp_path / "r.csv")]
+        for tau_h in ("inf", "1e300"):
+            assert main(base + ["--tau-h", tau_h]) == 2
+        assert main(base + ["--ca-p0", "inf"]) == 2
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("flag", [["--format", "ply"], ["--columns", "9"],
+                                      ["--allow-nonfinite"]])
+    def test_file_flags_rejected(self, tmp_path, flag):
+        # response reads no point cloud
+        with pytest.raises(SystemExit) as exc:
+            main(["response", "--r0", "30", "--alpha", "0.06",
+                  "--output", str(tmp_path / "r.csv")] + flag)
+        assert exc.value.code == 2
 
 
 class TestIntersect:
@@ -380,6 +407,15 @@ class TestHelp:
             if cmd in ("simulate", "sweep"):
                 # only `response` applies the peak shift
                 assert "--peak-correction" not in text
+
+    def test_every_sensor_field_has_a_flag(self, capsys):
+        flags = ["--" + f.name.replace("_", "-") for f in dataclasses.fields(lidarfog.SensorModel)]
+        for cmd in ("simulate", "sweep", "response"):
+            with pytest.raises(SystemExit):
+                main([cmd, "--help"])
+            text = capsys.readouterr().out
+            for flag in flags:
+                assert flag in text, f"{cmd} help missing {flag}"
 
 
 class TestImports:

@@ -16,7 +16,7 @@ from lidarfog import (
     transmit_pulse,
 )
 from lidarfog import optics
-from lidarfog.optics import soft_response_integrals
+from lidarfog.optics import RANGE_STEP, SPEED_OF_LIGHT, soft_response_integrals
 
 from oracles import soft_integral_quad, soft_integrand_scalar
 
@@ -120,12 +120,12 @@ class TestClearResponse:
         expect = e.ca_p0 * self.fog.beta_0 * sensor.pulse_span / (2 * r0 * r0)
         assert val == pytest.approx(expect, rel=1e-9)
 
-    def test_peak_correction_shifts_maximum(self):
-        s = SensorModel(peak_correction=True)
+    def test_peak_correction_shifts_maximum(self, sensor):
         e = PulseEnergy(900.0)
-        assert clear_response(30.0, 30.0, e, self.fog, s) == pytest.approx(1e-6 / np.pi, rel=1e-12)
-        assert clear_response(30.0 + s.pulse_span / 2, 30.0, e, self.fog, s) == \
-            pytest.approx(0.0, abs=1e-30)
+        assert clear_response(30.0, 30.0, e, self.fog, sensor, peak_correction=True) == \
+            pytest.approx(1e-6 / np.pi, rel=1e-12)
+        assert clear_response(30.0 + sensor.pulse_span / 2, 30.0, e, self.fog, sensor,
+                              peak_correction=True) == pytest.approx(0.0, abs=1e-30)
 
 
 class TestHardPeakIntensity:
@@ -161,12 +161,12 @@ class TestSoftIntegrand:
     def test_zero_below_crossover_start(self, fog06, sensor):
         # lags that put the scattering range at 0.7 m and 0.3 m, below r1
         for x_target in (0.7, 0.3):
-            t = 2.0 * (5.0 - x_target) / sensor.c
+            t = 2.0 * (5.0 - x_target) / SPEED_OF_LIGHT
             assert soft_integrand(t, 5.0, fog06, sensor) == 0.0
 
     def test_hand_composed_value(self, fog06, sensor):
         got = soft_integrand(sensor.tau_h, 10.0, fog06, sensor)
-        x = 10.0 - sensor.c * sensor.tau_h / 2.0
+        x = 10.0 - SPEED_OF_LIGHT * sensor.tau_h / 2.0
         assert got == pytest.approx(math.exp(-2 * 0.06 * x) / (x * x), rel=1e-12)
         assert got == pytest.approx(0.008803004126301455, rel=1e-12)
 
@@ -263,8 +263,8 @@ def loop_reference(r, fog, sensor, subintervals=40, hard_range=None):
     w[2:-1:2] = 2.0
     total = 0.0
     for xa, xb in zip(edges[:-1], edges[1:]):
-        a = 2.0 * (r - xa) / sensor.c
-        b = 2.0 * (r - xb) / sensor.c
+        a = 2.0 * (r - xa) / SPEED_OF_LIGHT
+        b = 2.0 * (r - xb) / SPEED_OF_LIGHT
         h = (b - a) / subintervals
         t = a + h * np.arange(subintervals + 1)
         total += (h / 3.0) * float(np.dot(w, soft_integrand(t, r, fog, sensor)))
@@ -293,7 +293,7 @@ class TestSoftResponseIntegrals:
     @pytest.mark.parametrize("block", [1, 64, optics._BLOCK_SIZE])
     def test_batches_match_loop_reference(self, fog06, sensor, monkeypatch, block):
         monkeypatch.setattr(optics, "_BLOCK_SIZE", block)
-        grid = np.arange(1, 2001) * sensor.range_step  # crosses block boundaries
+        grid = np.arange(1, 2001) * RANGE_STEP  # crosses block boundaries
         ref = [loop_reference(float(r), fog06, sensor) for r in grid]
         assert soft_response_integrals(grid, fog06, sensor).tolist() == ref
         assert soft_response_integrals(grid[40:47], fog06, sensor).tolist() == ref[40:47]
@@ -333,7 +333,7 @@ class TestSoftResponseIntegrals:
         # a NaN or inf range in a block must not move the panel ladder the
         # block's finite ranges are integrated on
         sensor = SensorModel(tau_h=tau_h)
-        grid = np.arange(1, 2001) * sensor.range_step
+        grid = np.arange(1, 2001) * RANGE_STEP
         clean = soft_response_integrals(grid, fog06, sensor, hard_range=hard)
         bad = np.arange(0, len(grid), optics._BLOCK_SIZE)[:, None] + [3, 100, 200]
         dirty = grid.copy()
@@ -356,7 +356,7 @@ class TestConvolutionEquivalence:
             e = PulseEnergy(ca_p0)
             for r in np.linspace(r0, r0 + sensor.pulse_span, 23):
                 # sift the Dirac impulse response through the convolution by hand
-                t_star = 2.0 * (r - r0) / sensor.c
+                t_star = 2.0 * (r - r0) / SPEED_OF_LIGHT
                 ref = (transmit_pulse(t_star, ca_p0, sensor) * fog.beta_0 / (r0 * r0)
                        * math.exp(-2.0 * alpha * r0))
                 got = math.exp(-2.0 * alpha * r0) * clear_response(r, r0, e, fog, sensor)
@@ -365,18 +365,15 @@ class TestConvolutionEquivalence:
 
 class TestParamValidation:
     def test_sensor_invariants(self):
-        with pytest.raises(ValueError):
-            SensorModel(tau_h=0.0)
+        for bad in (0.0, np.inf, 1e300):  # c * 1e300 overflows to inf
+            with pytest.raises(ValueError):
+                SensorModel(tau_h=bad)
         with pytest.raises(ValueError):
             SensorModel(r1=1.0, r2=0.9)
         with pytest.raises(ValueError):
             SensorModel(r1=0.0)
         with pytest.raises(ValueError):
             SensorModel(r2=2.5)
-        with pytest.raises(ValueError):
-            SensorModel(range_step=0.0)
-        with pytest.raises(ValueError):
-            SensorModel(max_range=0.5)
 
     def test_fog_invariants(self):
         with pytest.raises(ValueError):
@@ -404,7 +401,7 @@ class TestParamValidation:
                 FogParams(alpha=0.06, beta=0.0, mor=bad)
 
     def test_pulse_energy(self):
-        for bad in (-1.0, np.nan):
+        for bad in (-1.0, np.nan, np.inf):
             with pytest.raises(ValueError):
                 PulseEnergy(bad)
         for bad_r0 in (0.0, -2.0, np.nan):

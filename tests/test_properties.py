@@ -33,7 +33,7 @@ from lidarfog import (
     query_soft_max,
     sample_alpha,
 )
-from lidarfog.optics import hard_peak_intensity
+from lidarfog.optics import MAX_RANGE, hard_peak_intensity
 from lidarfog.rng import stable_key64, uniform01
 from oracles import brute_force_match_mask, dense_transform_reference
 
@@ -60,11 +60,11 @@ def same_bits(a, b):
 
 
 def degenerate(cloud, sensor):
-    """The documented skip rule, restated: no positive range within max_range,
+    """The documented skip rule, restated: no positive range within MAX_RANGE,
     or an intensity that is negative or not finite."""
     x, y, z = (cloud.xyz[:, j] for j in range(3))
     r0 = np.sqrt(x * x + y * y + z * z)
-    good_range = np.isfinite(r0) & (r0 > 0.0) & (r0 <= sensor.max_range)
+    good_range = np.isfinite(r0) & (r0 > 0.0) & (r0 <= MAX_RANGE)
     good_inten = np.isfinite(cloud.intensity) & (cloud.intensity >= 0.0)
     return ~(good_range & good_inten), r0
 

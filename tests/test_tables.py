@@ -17,6 +17,7 @@ from lidarfog import (
     soft_response_integral,
 )
 from lidarfog import optics, tables
+from lidarfog.optics import MAX_RANGE, RANGE_STEP
 from lidarfog.tables import _prefix_max_argmax, sensor_fingerprint
 
 from oracles import naive_running_max
@@ -25,16 +26,16 @@ from oracles import naive_running_max
 class TestBuild:
     def test_entries_match_direct_evaluation_bitwise(self, table06, fog06, sensor):
         for k in (1, 5, 9, 10, 47, 300, 2000):
-            direct = soft_response_integral(k * sensor.range_step, fog06, sensor)
+            direct = soft_response_integral(k * RANGE_STEP, fog06, sensor)
             assert table06.values[k - 1] == direct
 
     def test_zero_entries_below_crossover_start(self, table06):
         assert np.count_nonzero(table06.values[:9] == 0.0) == 9
         assert table06.values[9] > 0.0
 
-    def test_entry_count_and_extent(self, table06, sensor):
+    def test_entry_count_and_extent(self, table06):
         assert table06.n_entries == 2000
-        assert table06.max_range >= sensor.max_range
+        assert table06.max_range >= MAX_RANGE
 
     def test_prefix_max_nondecreasing(self, table06):
         assert np.all(np.diff(table06.prefix_max) >= 0.0)
@@ -56,11 +57,6 @@ class TestBuild:
     def test_build_deterministic(self, fog06, sensor):
         again = build_table(fog06, sensor)
         assert np.array_equal(again.values, build_table(fog06, sensor).values)
-
-    def test_entry_cap(self, fog06, sensor, monkeypatch):
-        monkeypatch.setattr(tables, "_MAX_ENTRIES", 100)
-        with pytest.raises(ValueError):
-            build_table(fog06, sensor)
 
     def test_values_are_read_only(self, table06):
         with pytest.raises(ValueError):
@@ -127,7 +123,7 @@ class TestQuery:
 
     def test_snap_down_index_shared(self, sensor, monkeypatch):
         # strictly increasing entries make the chosen entry visible everywhere
-        step = sensor.range_step
+        step = RANGE_STEP
         values = np.arange(1, 2001) * step
         pm, am = _prefix_max_argmax(values, step)
         fog = fog_from_alpha(0.06)
