@@ -45,6 +45,7 @@ from .pointcloud_io import (
 from .tables import (
     SoftResponseTable,
     build_table,
+    build_tables,
     naive_soft_max,
     query_soft_max,
 )
@@ -68,6 +69,7 @@ __all__ = [
     "SoftResponseTable",
     "alpha_to_mor",
     "build_table",
+    "build_tables",
     "clear_response",
     "crossover",
     "fog_from_alpha",

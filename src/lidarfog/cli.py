@@ -49,11 +49,15 @@ from .pointcloud_io import (
     write_cloud,
 )
 from .rng import stable_key64, uniform01
-from .tables import build_table, query_soft_max
+from .tables import build_table, build_tables, query_soft_max
 
 STATS_SCHEMA_VERSION = 1
 MANIFEST_SCHEMA_VERSION = 1
 MANIFEST_NAME = "manifest.json"
+
+# `response` tabulates its curves out to r0 + c*tau_h; this caps that end,
+# and with it the CSV, at 4000 rows of the 10 cm grid
+RESPONSE_GRID_END = 2 * MAX_RANGE  # [m]
 
 _BOOL_FLAGS = {"no-rescale", "peak-correction", "allow-nonfinite"}
 _TRUE = {"1", "true", "yes", "on"}
@@ -182,11 +186,13 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"no .{args.format} files in {args.input_dir}")
 
     # plan: each file's alpha is a pure function of (seed, name), so every
-    # fog is checked and every table built before any file is opened
+    # fog is checked and every table built, in one pass, before any file is
+    # opened
     keys = {name: stable_key64(name) for name in names}
     drawn = {name: sample_alpha(schedule, uniform01(args.seed, keys[name])) for name in names}
     fogs = {a: fog_from_alpha(a, beta=args.beta, beta_0=args.beta0) for a in schedule}
-    tables = {a: build_table(fogs[a], sensor) for a in set(drawn.values())}
+    used = sorted(set(drawn.values()))
+    tables = dict(zip(used, build_tables([fogs[a] for a in used], sensor)))
     os.makedirs(args.output_dir, exist_ok=True)
 
     def process(name: str):
@@ -232,6 +238,9 @@ def cmd_response(args) -> int:
     energy = PulseEnergy(ca_p0)
 
     span = sensor.pulse_span
+    if not r0 + span <= RESPONSE_GRID_END:
+        raise ValueError(f"--r0 plus the pulse span c*tau_h ({r0 + span:.6g} m) must be "
+                         f"within {RESPONSE_GRID_END} m, the end of the response grid")
     shift = span / 2.0 if args.peak_correction else 0.0
     n = int((r0 + span) / RANGE_STEP)
     grid = (np.arange(n, dtype=np.int64) + 1) * RANGE_STEP

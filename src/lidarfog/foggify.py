@@ -64,7 +64,7 @@ class PointCloud:
     intensity rescaling and is carried through transformations unchanged.
     """
 
-    def __init__(self, xyz, intensity, intensity_scale: float = 255.0, frame_id: str = ""):
+    def __init__(self, xyz, intensity, intensity_scale: float = 255.0):
         xyz = np.ascontiguousarray(xyz, dtype=np.float64)
         intensity = np.ascontiguousarray(intensity, dtype=np.float64)
         if xyz.ndim != 2 or xyz.shape[1] != 3:
@@ -78,7 +78,6 @@ class PointCloud:
         self.xyz = xyz
         self.intensity = intensity
         self.intensity_scale = float(intensity_scale)
-        self.frame_id = frame_id
 
     def __len__(self) -> int:
         return self.xyz.shape[0]
@@ -87,11 +86,11 @@ class PointCloud:
         return Point(self.xyz[i, 0], self.xyz[i, 1], self.xyz[i, 2], self.intensity[i])
 
     @classmethod
-    def from_points(cls, points: Sequence[Point], intensity_scale: float = 255.0,
-                    frame_id: str = "") -> "PointCloud":
+    def from_points(cls, points: Sequence[Point],
+                    intensity_scale: float = 255.0) -> "PointCloud":
         xyz = np.array([(p.x, p.y, p.z) for p in points], dtype=np.float64).reshape(-1, 3)
         inten = np.array([p.intensity for p in points], dtype=np.float64)
-        return cls(xyz, inten, intensity_scale, frame_id)
+        return cls(xyz, inten, intensity_scale)
 
 
 @dataclass(frozen=True)
@@ -310,6 +309,6 @@ def foggify_cloud(
     # fields in declaration order: counts, intensity in and out (min, max, mean), factor
     stats = CloudStats(n, n_soft, int(np.count_nonzero(skipped)), n_soft / n,
                        *_finite_stats(inten), *_finite_stats(io), rescale_factor)
-    out = PointCloud(xyz, io, cloud.intensity_scale, cloud.frame_id)
+    out = PointCloud(xyz, io, cloud.intensity_scale)
     provenance = soft.astype(np.uint8)
     return FoggifyOutcome(cloud=out, provenance=provenance, stats=stats)

@@ -7,8 +7,9 @@ at its range), which gives a closed-form sin^2-shaped return.  Fog adds a
 distributed "soft" target (a step response filling the line of sight up to
 the object) whose return has no closed form and is evaluated here with
 composite Simpson quadrature, for a whole array of ranges in one batched
-pass (`soft_response_integrals`); the one-range `soft_response_integral`
-is a call of that pass, so both give the same bits.
+pass (`soft_response_integrals`; a sweep's tables share one pass for all
+their alphas); the one-range `soft_response_integral` is a call of that
+pass, so both give the same bits.
 
 All arithmetic is 64-bit.  The pointwise functions take scalars or numpy
 arrays and return arrays (a 0-d array or numpy scalar for scalar input);
@@ -240,9 +241,9 @@ def _panel_ladder(x_max: float, r2: float) -> np.ndarray:
     return np.array(cuts)
 
 
-def _soft_block(r: np.ndarray, fog: FogParams, sensor: SensorModel,
+def _soft_block(r: np.ndarray, alphas, sensor: SensorModel,
                 w: np.ndarray, hard_range: Optional[float]) -> np.ndarray:
-    """`soft_response_integrals` for one block of ranges."""
+    """`_soft_integrals` for one block of ranges: one row per alpha."""
     x_hi = r if hard_range is None else np.minimum(r, hard_range)
     x_lo = np.maximum(sensor.r1, r - sensor.pulse_span)
 
@@ -265,16 +266,43 @@ def _soft_block(r: np.ndarray, fog: FogParams, sensor: SensorModel,
     b = 2.0 * (rp - xb) / SPEED_OF_LIGHT
     h = (b - a) / n
     t = a[:, None] + h[:, None] * np.arange(n + 1)
-    y = soft_integrand(t, rp[:, None], fog, sensor)
-    # row by row: a batched product may sum in another order
-    dots = np.fromiter(map(w.dot, y), dtype=np.float64, count=len(y))
-    terms = np.zeros(real.shape)
-    terms[real] = (h / 3.0) * dots
 
-    total = np.zeros(len(r))
-    for column in terms.T:  # panel order, descending in range
-        total += column
-    return total
+    # the alpha-free factors of `soft_integrand` at every node, formed as it
+    # forms them; alpha enters only through exp(-2*alpha*x)
+    x = rp[:, None] - SPEED_OF_LIGHT * t / 2.0
+    inside = x > sensor.r1
+    xs = np.where(inside, x, 1.0)
+    pulse = np.sin(np.pi * t / (2.0 * sensor.tau_h)) ** 2
+    x2 = xs * xs
+    cr = crossover(x, sensor)
+
+    out = np.zeros((len(alphas), len(r)))
+    terms = np.zeros(real.shape)
+    for total, alpha in zip(out, alphas):
+        y = np.where(inside, pulse * np.exp(-2.0 * alpha * xs) / x2 * cr, 0.0)
+        # one dot product per panel row: vecdot runs the kernel of w.dot on
+        # each row, where a matrix product (y @ w) may sum in another order
+        terms[real] = (h / 3.0) * np.vecdot(w, y)
+        for column in terms.T:  # panel order, descending in range
+            total += column
+    return out
+
+
+def _soft_integrals(r, alphas, sensor: SensorModel,
+                    hard_range: Optional[float] = None) -> np.ndarray:
+    """`soft_response_integrals` at ranges r for each attenuation in alphas.
+
+    Returns a (len(alphas), len(r)) array.  Each block's nodes and
+    alpha-free factors are formed once and serve every alpha, and every
+    value equals the one-alpha call's bit for bit.
+    """
+    r = np.asarray(r, dtype=np.float64)
+    w = _simpson_weights(_SUBINTERVALS)
+    out = np.empty((len(alphas), len(r)))
+    for lo in range(0, len(r), _BLOCK_SIZE):
+        out[:, lo:lo + _BLOCK_SIZE] = _soft_block(r[lo:lo + _BLOCK_SIZE], alphas, sensor,
+                                                  w, hard_range)
+    return out
 
 
 def soft_response_integrals(
@@ -296,19 +324,18 @@ def soft_response_integrals(
     arithmetic and the same per-panel dot product whatever the batch, so
     each value is bitwise independent of the other ranges in the call.
     Ranges are evaluated in blocks of `_BLOCK_SIZE` to bound temporaries.
+    This is the one-alpha call of the pass that builds all of a sweep's
+    tables at once (`tables.build_tables`): each block forms its quadrature
+    nodes once for all alphas, and the integrand is evaluated with the
+    operations of `soft_integrand`, in the same order, so the values equal a
+    quadrature over `soft_integrand` bit for bit.
 
     Doubling `_SUBINTERVALS` changes results by less than 1e-6 relative
     over the working range.
     """
-    r = np.asarray(r, dtype=np.float64)
     if hard_range is not None:
         hard_range = float(hard_range)
-    w = _simpson_weights(_SUBINTERVALS)
-    out = np.empty(len(r))
-    for lo in range(0, len(r), _BLOCK_SIZE):
-        out[lo:lo + _BLOCK_SIZE] = _soft_block(r[lo:lo + _BLOCK_SIZE], fog, sensor,
-                                               w, hard_range)
-    return out
+    return _soft_integrals(r, [fog.alpha], sensor, hard_range)[0]
 
 
 def soft_response_integral(

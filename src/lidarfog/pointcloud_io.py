@@ -172,7 +172,7 @@ def _read_ply(path, allow_nonfinite: bool) -> np.ndarray:
 
 
 def read_cloud(path, fmt: CloudFormat = CloudFormat(), allow_nonfinite: bool = False) -> PointCloud:
-    """Load a point cloud; the frame id is the file stem.
+    """Load a point cloud.
 
     Raises OSError for filesystem trouble and MalformedFileError for content
     that breaks the format (partial trailing record, bad PLY header, and —
@@ -182,8 +182,7 @@ def read_cloud(path, fmt: CloudFormat = CloudFormat(), allow_nonfinite: bool = F
         rows = _read_bin(path, allow_nonfinite, fmt.columns)
     else:
         rows = _read_ply(path, allow_nonfinite)
-    frame_id = os.path.splitext(os.path.basename(str(path)))[0]
-    return PointCloud(rows[:, :3], rows[:, 3], fmt.intensity_scale, frame_id)
+    return PointCloud(rows[:, :3], rows[:, 3], fmt.intensity_scale)
 
 
 def write_cloud(cloud: PointCloud, path, fmt: CloudFormat = CloudFormat()) -> None:
@@ -302,4 +301,4 @@ def intersect_returns(strongest: PointCloud, last: PointCloud,
         raise ValueError(f"tolerance must be >= 0, got {tol}")
     mask = _match_mask(strongest.xyz, last.xyz, tol)
     return PointCloud(strongest.xyz[mask], strongest.intensity[mask],
-                      strongest.intensity_scale, strongest.frame_id)
+                      strongest.intensity_scale)

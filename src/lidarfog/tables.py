@@ -4,9 +4,11 @@ The per-point algorithm scans the whole 10 cm range grid up to each point's
 range and takes the running maximum of the soft-return integral.  The
 integral does not depend on the point itself (only on alpha and the sensor),
 so one table per (alpha, sensor) pair serves every point: tabulate the
-integral once, in one batched `soft_response_integrals` call, keep
-prefix-maximum and prefix-argmax arrays, and each point query becomes a
-single indexed lookup that matches the naive scan bit for bit.
+integral once, in one batched quadrature pass, keep prefix-maximum and
+prefix-argmax arrays, and each point query becomes a single indexed lookup
+that matches the naive scan bit for bit.  `build_tables` builds all of a
+sweep's tables in that one pass: the quadrature nodes do not depend on
+alpha, so each block of ranges forms them once for every alpha.
 """
 
 import hashlib
@@ -22,7 +24,6 @@ from .optics import (
     FogParams,
     SensorModel,
     soft_response_integral,
-    soft_response_integrals,
 )
 
 
@@ -75,27 +76,42 @@ def _prefix_max_argmax(values: np.ndarray, grid_step: float):
     return pm, argmax_range
 
 
-def build_table(fog: FogParams, sensor: SensorModel) -> SoftResponseTable:
-    """Tabulate the soft-return integral over (0, MAX_RANGE] at RANGE_STEP.
+def build_tables(fogs, sensor: SensorModel) -> list:
+    """Tabulate the soft-return integral over (0, MAX_RANGE] at RANGE_STEP
+    for each fog, in one pass.
 
-    All entries come from one `soft_response_integrals` call, whose values
-    do not depend on the batch, so each entry equals the scalar
-    `soft_response_integral` at its range bit for bit and table lookups are
-    bitwise identical to the naive per-point scan.
+    Returns one `SoftResponseTable` per fog, in order.  The values come from
+    one batched quadrature pass over the grid (`optics._soft_integrals`):
+    each block of ranges forms its nodes once and evaluates the integrand at
+    every fog's alpha.  The values do not depend on the batch or on the
+    other fogs, so each entry equals the scalar `soft_response_integral` at
+    its range bit for bit and table lookups are bitwise identical to the
+    naive per-point scan.
     """
+    fogs = list(fogs)
     n = int(np.ceil(MAX_RANGE / RANGE_STEP))
-    values = soft_response_integrals(np.arange(1, n + 1) * RANGE_STEP, fog, sensor)
-    pm, am = _prefix_max_argmax(values, RANGE_STEP)
-    for arr in (values, pm, am):
-        arr.setflags(write=False)
-    return SoftResponseTable(
-        alpha=fog.alpha,
-        grid_step=RANGE_STEP,
-        values=values,
-        prefix_max=pm,
-        prefix_argmax=am,
-        sensor_fingerprint=sensor_fingerprint(sensor),
-    )
+    rows = optics._soft_integrals(np.arange(1, n + 1) * RANGE_STEP,
+                                  [fog.alpha for fog in fogs], sensor)
+    fingerprint = sensor_fingerprint(sensor)
+    out = []
+    for fog, values in zip(fogs, rows):
+        pm, am = _prefix_max_argmax(values, RANGE_STEP)
+        for arr in (values, pm, am):
+            arr.setflags(write=False)
+        out.append(SoftResponseTable(
+            alpha=fog.alpha,
+            grid_step=RANGE_STEP,
+            values=values,
+            prefix_max=pm,
+            prefix_argmax=am,
+            sensor_fingerprint=fingerprint,
+        ))
+    return out
+
+
+def build_table(fog: FogParams, sensor: SensorModel) -> SoftResponseTable:
+    """`build_tables` for one fog."""
+    return build_tables([fog], sensor)[0]
 
 
 def _soft_max_at(table: SoftResponseTable, r0: np.ndarray):

@@ -129,7 +129,7 @@ def brute_force_match_mask(strongest_xyz, last_xyz, tol):
     return mask
 
 
-def dense_transform_reference(x, y, z, inten, draws, fog, sensor, table):
+def dense_transform_reference(x, y, z, inten, draws, fog, table):
     """Column-wise per-point transform that draws and relocates every point.
 
     The dense form of `foggify._transform_block`, the bit-for-bit reference

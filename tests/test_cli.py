@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 import lidarfog
 from lidarfog import DEFAULT_ALPHA_SCHEDULE, sample_alpha
 from lidarfog.cli import main
+from lidarfog.optics import MAX_RANGE
 from lidarfog.pointcloud_io import _PLY_HEADER
 from lidarfog.rng import stable_key64, uniform01
 
@@ -301,6 +303,22 @@ class TestResponse:
             assert main(base + ["--tau-h", tau_h]) == 2
         assert main(base + ["--ca-p0", "inf"]) == 2
         assert not (tmp_path / "r.csv").exists()
+
+    def test_grid_beyond_twice_max_range_exits_2_at_once(self, tmp_path, capsys):
+        csv = tmp_path / "r.csv"
+        base = ["response", "--alpha", "0.06", "--output", str(csv)]
+        t0 = time.perf_counter()
+        # a 30 km pulse span would ask for ~300,000 rows
+        assert main(base + ["--r0", "30", "--tau-h", "1e-4"]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert "400.0 m" in capsys.readouterr().err
+        # r0 + c*tau_h just beyond and just within 2 * MAX_RANGE
+        assert main(base + ["--r0", "200", "--tau-h", "6.7e-7"]) == 2
+        assert not csv.exists()
+        assert main(base + ["--r0", "200", "--tau-h", "6.6e-7"]) == 0
+        rows = csv.read_text().splitlines()[1:]
+        assert 3900 < len(rows) <= 4000
+        assert float(rows[-1].split(",")[0]) <= 2 * MAX_RANGE
 
     @pytest.mark.parametrize("flag", [["--format", "ply"], ["--columns", "9"],
                                       ["--allow-nonfinite"]])

@@ -441,7 +441,6 @@ class TestPointCloudType:
 
     def test_from_points_roundtrip(self):
         pts = [Point(1.0, 2.0, 3.0, 4.0), Point(-1.0, 0.5, 0.25, 9.0)]
-        cloud = PointCloud.from_points(pts, frame_id="f")
+        cloud = PointCloud.from_points(pts)
         assert len(cloud) == 2
         assert cloud.point(1) == pts[1]
-        assert cloud.frame_id == "f"

@@ -15,7 +15,7 @@ from lidarfog import (
     transmission,
     transmit_pulse,
 )
-from lidarfog import optics
+from lidarfog import build_tables, optics
 from lidarfog.optics import RANGE_STEP, SPEED_OF_LIGHT, soft_response_integrals
 
 from oracles import soft_integral_quad, soft_integrand_scalar
@@ -343,6 +343,44 @@ class TestSoftResponseIntegrals:
         rest = np.ones(len(grid), dtype=bool)
         rest[bad] = False
         assert got[rest].tobytes() == clean[rest].tobytes()
+
+
+# the sweep schedule 0, 0.005, ..., 0.06, clear air included, and two denser fogs
+MANY_ALPHAS = (*(round(0.005 * k, 3) for k in range(13)), 0.2, 1.0)
+
+
+class TestManyAlphas:
+    """One batched pass over many alphas equals the per-range, per-panel
+    evaluation on `soft_integrand` at each alpha bit for bit."""
+
+    def test_build_tables_match_loop_reference(self, sensor):
+        grid = np.arange(1, 2001) * RANGE_STEP
+        # a shuffled order: each table must get its own alpha's row
+        alphas = MANY_ALPHAS[::2] + MANY_ALPHAS[1::2]
+        built = build_tables([FogParams(alpha=a, beta=0.0) for a in alphas], sensor)
+        assert [t.alpha for t in built] == list(alphas)
+        for a, table in zip(alphas, built):
+            fog = FogParams(alpha=a, beta=0.0)
+            assert table.values.tolist() == [loop_reference(float(r), fog, sensor)
+                                             for r in grid], a
+
+    @pytest.mark.parametrize("tau_h", [20e-9, 50e-9])
+    @pytest.mark.parametrize("hard", [None, 30.0])
+    def test_nonfinite_ranges_in_a_block(self, tau_h, hard):
+        sensor = SensorModel(tau_h=tau_h)
+        grid = np.arange(1, 2001) * RANGE_STEP
+        bad = np.arange(0, len(grid), optics._BLOCK_SIZE)[:, None] + [3, 100, 200]
+        dirty = grid.copy()
+        dirty[bad] = [np.nan, np.inf, -np.inf]
+        rows = optics._soft_integrals(dirty, MANY_ALPHAS, sensor, hard)
+        assert rows.shape == (len(MANY_ALPHAS), len(grid))
+        rest = np.ones(len(grid), dtype=bool)
+        rest[bad] = False
+        for a, row in zip(MANY_ALPHAS, rows):
+            one = soft_response_integrals(grid, FogParams(alpha=a, beta=0.0), sensor,
+                                          hard_range=hard)
+            assert row[bad].ravel().tolist() == [0.0] * bad.size
+            assert row[rest].tobytes() == one[rest].tobytes(), a
 
 
 class TestConvolutionEquivalence:

@@ -143,11 +143,6 @@ class TestBinFormat:
         cloud = read_cloud(path, BIN, allow_nonfinite=True)
         assert len(cloud) == 2 and np.isnan(cloud.xyz[1, 0])
 
-    def test_frame_id_from_stem(self, tmp_path):
-        path = tmp_path / "scan_0042.bin"
-        write_cloud(f32_cloud(3), path, BIN)
-        assert read_cloud(path, BIN).frame_id == "scan_0042"
-
 
 class TestPlyFormat:
     def test_roundtrip_within_text_precision(self, tmp_path):

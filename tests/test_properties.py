@@ -26,10 +26,12 @@ from lidarfog import (
     PointCloud,
     Provenance,
     build_table,
+    build_tables,
     fog_from_alpha,
     foggify_cloud,
     foggify_point,
     intersect_returns,
+    mor_to_beta,
     query_soft_max,
     sample_alpha,
 )
@@ -59,7 +61,7 @@ def same_bits(a, b):
     return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
-def degenerate(cloud, sensor):
+def degenerate(cloud):
     """The documented skip rule, restated: no positive range within MAX_RANGE,
     or an intensity that is negative or not finite."""
     x, y, z = (cloud.xyz[:, j] for j in range(3))
@@ -99,7 +101,7 @@ def test_degenerate_points_pass_through(sensor, cloud, alpha, seed, rescale):
     is scaled by the cloud's one factor like every other point's.  Below the
     smallest normal float the product keeps no relative precision."""
     fog, table = fog_and_table(alpha, sensor)
-    bad, _ = degenerate(cloud, sensor)
+    bad, _ = degenerate(cloud)
     out = foggify_cloud(cloud, fog, sensor, seed=seed, rescale=rescale, table=table)
     assert out.stats.n_skipped == int(np.count_nonzero(bad))
     assert same_bits(out.cloud.xyz[bad], cloud.xyz[bad])
@@ -117,7 +119,7 @@ def test_degenerate_points_pass_through(sensor, cloud, alpha, seed, rescale):
 @given(cloud=clouds(max_points=40), alpha=ALPHAS, seed=st.integers(0, 2**32))
 def test_provenance_follows_the_per_point_rule(sensor, cloud, alpha, seed):
     fog, table = fog_and_table(alpha, sensor)
-    bad, r0 = degenerate(cloud, sensor)
+    bad, r0 = degenerate(cloud)
     out = foggify_cloud(cloud, fog, sensor, seed=seed, rescale=False, table=table)
     for i in range(len(cloud)):
         if bad[i]:
@@ -151,7 +153,7 @@ def test_outputs_ignore_workers_and_block_size(sensor, cloud, alpha, seed, resca
     assert same_bits(list(out.stats.to_dict().values()), list(ref.stats.to_dict().values()))
 
 
-def dense_foggify(cloud, fog, sensor, table, seed, rescale, block):
+def dense_foggify(cloud, fog, table, seed, rescale, block):
     """`foggify_cloud` restated over the dense reference kernel, block by block:
     the rescale rule and the finite-value stats, then the outcome as arrays."""
     n = len(cloud)
@@ -161,8 +163,7 @@ def dense_foggify(cloud, fog, sensor, table, seed, rescale, block):
         hi = min(lo + block, n)
         draws = uniform01(seed, np.arange(lo, hi, dtype=np.uint64))
         parts.append(dense_transform_reference(*(c[lo:hi] for c in cols),
-                                               cloud.intensity[lo:hi], draws, fog, sensor,
-                                               table))
+                                               cloud.intensity[lo:hi], draws, fog, table))
     x, y, z, inten, soft, skipped = (np.concatenate(p) for p in zip(*parts))
     top = inten[np.isfinite(inten)].max(initial=0.0)
     factor = cloud.intensity_scale / top if top > 0.0 else math.inf
@@ -195,7 +196,7 @@ def test_sparse_kernel_matches_dense_reference(sensor, cloud, zero_rows, alpha, 
     with mock.patch.object(foggify, "_BLOCK_SIZE", 7):
         out = foggify_cloud(cloud, fog, sensor, seed=seed, rescale=rescale, table=table,
                             workers=workers)
-    xyz, inten, provenance, stats = dense_foggify(cloud, fog, sensor, table, seed, rescale, 7)
+    xyz, inten, provenance, stats = dense_foggify(cloud, fog, table, seed, rescale, 7)
     assert same_bits(out.cloud.xyz, xyz)
     assert same_bits(out.cloud.intensity, inten)
     assert same_bits(out.provenance, provenance)
@@ -228,6 +229,46 @@ def test_soft_hard_ratio_ignores_intensity_and_never_decreases(sensor, alpha, ra
             assert i_soft / i_hard == pytest.approx(ratio, rel=1e-13, abs=0.0)
 
 
+def relocated(cloud, fog, sensor, table, seed):
+    out = foggify_cloud(cloud, fog, sensor, seed=seed, rescale=False, table=table)
+    return out.provenance == Provenance.SOFT_REPLACED
+
+
+@PROPERTY
+@given(cloud=clouds(), seed=st.integers(0, 2**32),
+       milli=st.lists(st.integers(0, 200), min_size=2, max_size=4, unique=True))
+def test_relocation_sets_nest_in_alpha(sensor, cloud, seed, milli):
+    """A point fog relocates at alpha1 is relocated at every alpha2 > alpha1
+    (beta = 0.046 / MOR, MOR = 3 / alpha).  The tables come from one
+    batched build in the drawn order, so an alpha whose row the shared loop
+    skips breaks the nesting.  Rows in another order keep it (beta grows
+    with alpha either way); `test_optics.py::TestManyAlphas` pins each row
+    to its own alpha bit for bit."""
+    fogs = [fog_from_alpha(k / 1000) for k in milli]
+    sets = {fog.alpha: relocated(cloud, fog, sensor, table, seed)
+            for fog, table in zip(fogs, build_tables(fogs, sensor))}
+    alphas = sorted(sets)
+    for lo, hi in zip(alphas, alphas[1:]):
+        assert not np.any(sets[lo] & ~sets[hi]), (lo, hi)
+
+
+@PROPERTY
+@given(cloud=clouds(), alpha=st.sampled_from((0.005, 0.03, 0.06, 0.2)),
+       seed=st.integers(0, 2**32), mors=st.lists(st.floats(1.0, 2000.0), min_size=2,
+                                                  max_size=4, unique=True))
+def test_relocation_sets_nest_in_beta(sensor, cloud, alpha, seed, mors):
+    """At a fixed alpha, a point relocated at beta1 is relocated at every
+    beta2 > beta1, with each beta = 0.046 / MOR drawn from a MOR."""
+    _, table = fog_and_table(alpha, sensor)
+    sets = {}
+    for mor in mors:
+        fog = fog_from_alpha(alpha, beta=mor_to_beta(mor))
+        sets[fog.beta] = relocated(cloud, fog, sensor, table, seed)
+    betas = sorted(sets)
+    for lo, hi in zip(betas, betas[1:]):
+        assert not np.any(sets[lo] & ~sets[hi]), (lo, hi)
+
+
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**31), n_files=st.integers(1, 6),
        schedule=st.lists(st.sampled_from((0.0, 0.01, 0.03, 0.06)), min_size=1, max_size=4))
@@ -241,7 +282,8 @@ def test_sweep_builds_one_table_per_drawn_alpha(seed, n_files, schedule):
         for name in names:
             rng.uniform(1.0, 60.0, (20, 4)).astype("<f4").tofile(os.path.join(src, name))
         dst = os.path.join(tmp, "out")
-        with mock.patch.object(cli, "build_table", wraps=cli.build_table) as build:
+        with mock.patch.object(cli, "build_tables", wraps=cli.build_tables) as build_all, \
+                mock.patch.object(cli, "build_table", wraps=cli.build_table) as build_one:
             rc = cli.main(["sweep", "--input-dir", src, "--output-dir", dst,
                            "--alphas", ",".join(map(repr, schedule)), "--seed", str(seed),
                            "--workers", "2"])
@@ -249,8 +291,10 @@ def test_sweep_builds_one_table_per_drawn_alpha(seed, n_files, schedule):
             manifest = json.load(fh)
     assert rc == 0
     assert manifest["files"] == drawn
-    built = [call.args[0].alpha for call in build.call_args_list]
-    assert sorted(built) == sorted(set(drawn.values()))
+    # one batched build of exactly the distinct drawn alphas, in sorted order
+    assert build_all.call_count == 1 and build_one.call_count == 0
+    fogs = build_all.call_args.args[0]
+    assert [fog.alpha for fog in fogs] == sorted(set(manifest["files"].values()))
 
 
 UNIT = st.floats(-1.0, 1.0)

@@ -10,6 +10,7 @@ from lidarfog import (
     SensorModel,
     SoftResponseTable,
     build_table,
+    build_tables,
     fog_from_alpha,
     foggify_point,
     naive_soft_max,
@@ -73,6 +74,30 @@ class TestBuild:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+    def test_sweep_build_peak_memory_stays_bounded(self):
+        # the blocks stay the outer loop, so many alphas need no more
+        # temporaries than one: about 2.8 MB for the 13-value sweep schedule
+        fogs = [fog_from_alpha(round(0.005 * k, 3)) for k in range(13)]
+        tracemalloc.start()
+        try:
+            build_tables(fogs, SensorModel())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+    def test_batched_tables_equal_single_builds(self, sensor):
+        fogs = [fog_from_alpha(a) for a in (0.06, 0.0, 0.02, 0.06)]
+        for table, fog in zip(build_tables(fogs, sensor), fogs):
+            one = build_table(fog, sensor)
+            assert table.alpha == fog.alpha
+            assert table.sensor_fingerprint == one.sensor_fingerprint
+            for name in ("values", "prefix_max", "prefix_argmax"):
+                arr = getattr(table, name)
+                assert arr.tobytes() == getattr(one, name).tobytes()
+                assert not arr.flags.writeable
+        assert build_tables([], sensor) == []
 
 
 class TestPrefixHelper:
