@@ -13,6 +13,7 @@ command-line flags win on conflict.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -131,7 +132,6 @@ def _write_json(path, payload) -> None:
 
 
 def _stats_payload(fog: FogParams, seed, outcome: FoggifyOutcome, runtime_ms: float) -> dict:
-    s = outcome.stats
     mor = fog.mor
     return {
         "schema_version": STATS_SCHEMA_VERSION,
@@ -140,11 +140,7 @@ def _stats_payload(fog: FogParams, seed, outcome: FoggifyOutcome, runtime_ms: fl
         "beta": fog.beta,
         "beta_0": fog.beta_0,
         "seed": seed,
-        "n_points": s.n_points,
-        "n_soft_replaced": s.n_soft_replaced,
-        "n_skipped": s.n_skipped,
-        "fraction_replaced": s.fraction_replaced,
-        "rescale_factor": s.rescale_factor,
+        **dataclasses.asdict(outcome.stats),
         "runtime_ms": runtime_ms,
     }
 

@@ -16,7 +16,7 @@ import math
 import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Optional, Sequence
 
@@ -95,20 +95,13 @@ class PointCloud:
 
 @dataclass(frozen=True)
 class CloudStats:
+    """What one `foggify_cloud` call reports; `simulate --stats` writes these fields."""
+
     n_points: int
     n_soft_replaced: int
     n_skipped: int
     fraction_replaced: float
-    intensity_in_min: float
-    intensity_in_max: float
-    intensity_in_mean: float
-    intensity_out_min: float
-    intensity_out_max: float
-    intensity_out_mean: float
     rescale_factor: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -166,18 +159,17 @@ def sample_alpha(schedule: Sequence[float], draw: float) -> float:
     return schedule[min(int(draw * len(schedule)), len(schedule) - 1)]
 
 
-def _transform_block(xyz, inten, draw, fog: FogParams, table: SoftResponseTable,
-                     soft, skipped):
+def _transform_block(xyz, inten, draw, fog: FogParams, table: SoftResponseTable, soft):
     """Vectorized per-point transform of one block; the single source of truth.
 
     `xyz` (m, 3) and `inten` (m,) are the block's rows, rewritten in place;
-    `soft` and `skipped` (m,) bool receive the relocated and skipped masks.
-    `draw(k)` returns the noise draws in [0, 1) for the block rows k, and is
-    called once, with the relocated rows only; the other rows keep their
-    coordinates without any arithmetic.  Skipped points (zero/overlong
-    range, non-finite coordinates, negative or non-finite intensity) pass
-    through unchanged.  The table is read with `_soft_max_at`, the lookup of
-    `query_soft_max`.
+    `soft` (m,) bool receives the relocated mask.  `draw(k)` returns the
+    noise draws in [0, 1) for the block rows k, and is called once, with the
+    relocated rows only; the other rows keep their coordinates without any
+    arithmetic.  Skipped points (zero/overlong range, non-finite
+    coordinates, negative or non-finite intensity) pass through unchanged;
+    the return value counts them.  The table is read with `_soft_max_at`,
+    the lookup of `query_soft_max`.
     """
     x, y, z = xyz[:, 0], xyz[:, 1], xyz[:, 2]
     r0 = np.sqrt(x * x + y * y + z * z)
@@ -191,7 +183,6 @@ def _transform_block(xyz, inten, draw, fog: FogParams, table: SoftResponseTable,
     i_hard = hard_peak_intensity(inten_s, r0s, fog.alpha)
     i_soft = (inten_s * r0s * r0s / fog.beta_0) * fog.beta * i_tmp
     np.logical_and(valid, i_soft > i_hard, out=soft)
-    np.logical_not(valid, out=skipped)
 
     # noise factor 2^p with p uniform in [-1, 1); the new range n * r_tmp is
     # applied along the unit direction so a median draw lands exactly on the
@@ -201,6 +192,7 @@ def _transform_block(xyz, inten, draw, fog: FogParams, table: SoftResponseTable,
     xyz[k] = (xyz[k] / r0s[k, None]) * new_range[:, None]
     np.copyto(inten, i_hard, where=valid)
     inten[k] = i_soft[k]
+    return valid.size - int(np.count_nonzero(valid))
 
 
 def _check_table(table: SoftResponseTable, fog: FogParams, sensor: SensorModel):
@@ -210,16 +202,6 @@ def _check_table(table: SoftResponseTable, fog: FogParams, sensor: SensorModel):
         )
     if table.sensor_fingerprint != sensor_fingerprint(sensor):
         raise ValueError("table was built for another sensor (fingerprint mismatch)")
-
-
-def _finite_stats(a: np.ndarray):
-    """(min, max, mean) of the finite entries of `a` (NaN if none); no extra pass if clean."""
-    with np.errstate(invalid="ignore"):  # inf + -inf in the mean; redone below
-        stats = (float(a.min()), float(a.max()), float(a.mean()))
-    if all(map(math.isfinite, stats)):
-        return stats
-    a = a[np.isfinite(a)]
-    return (float(a.min()), float(a.max()), float(a.mean())) if a.size else (math.nan,) * 3
 
 
 def foggify_point(p: Point, fog: FogParams, sensor: SensorModel,
@@ -237,7 +219,7 @@ def foggify_point(p: Point, fog: FogParams, sensor: SensorModel,
     inten = np.array([p.intensity], dtype=np.float64)
     soft = np.empty(1, dtype=bool)
     _transform_block(xyz, inten, lambda k: np.full(k.size, noise_draw, dtype=np.float64),
-                     fog, table, soft, np.empty(1, dtype=bool))
+                     fog, table, soft)
     tag = Provenance.SOFT_REPLACED if soft[0] else Provenance.HARD_KEPT
     return Point(*map(float, xyz[0]), float(inten[0])), tag
 
@@ -259,9 +241,10 @@ def foggify_cloud(
     With `rescale`, intensities are scaled by one per-cloud linear factor so
     the maximum reaches `cloud.intensity_scale` (mimicking a sensor gain
     stage that always fills the value range); ratios between points are
-    preserved.  The rescale maximum and the intensity stats are taken over
-    finite values only.  Output is bit-identical for identical (cloud, fog,
-    sensor, seed) regardless of `workers`.
+    preserved.  The rescale maximum is taken over finite values only.  The
+    stats count the points, relocated points and skipped points, and state
+    the rescale factor applied.  Output is bit-identical for identical
+    (cloud, fog, sensor, seed) regardless of `workers`.
     """
     if workers is not None and not (isinstance(workers, numbers.Integral) and workers >= 1):
         raise ValueError(f"workers must be an integer of at least 1, got {workers!r}")
@@ -272,26 +255,23 @@ def foggify_cloud(
         table = build_table(fog, sensor)
     _check_table(table, fog, sensor)
 
-    inten = cloud.intensity
     xyz = cloud.xyz.copy()
-    io = inten.copy()
+    io = cloud.intensity.copy()
     soft = np.empty(n, dtype=bool)
-    skipped = np.empty(n, dtype=bool)
 
-    def run_block(lo: int, hi: int):
+    def run_block(lo: int, hi: int) -> int:
         # the module global is looked up per call, so wrappers of it see every draw
-        _transform_block(xyz[lo:hi], io[lo:hi], lambda k: uniform01(seed, lo + k),
-                         fog, table, soft[lo:hi], skipped[lo:hi])
+        return _transform_block(xyz[lo:hi], io[lo:hi], lambda k: uniform01(seed, lo + k),
+                                fog, table, soft[lo:hi])
 
     blocks = [(lo, min(lo + _BLOCK_SIZE, n)) for lo in range(0, n, _BLOCK_SIZE)]
     if workers is None:
         workers = min(len(blocks), os.cpu_count() or 1)
     if workers <= 1 or len(blocks) == 1:
-        for lo, hi in blocks:
-            run_block(lo, hi)
+        n_skipped = sum(run_block(lo, hi) for lo, hi in blocks)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda b: run_block(*b), blocks))
+            n_skipped = sum(pool.map(lambda b: run_block(*b), blocks))
 
     rescale_factor = 1.0
     max_out = float(io.max())
@@ -306,9 +286,7 @@ def foggify_cloud(
         rescale_factor = factor
 
     n_soft = int(np.count_nonzero(soft))
-    # fields in declaration order: counts, intensity in and out (min, max, mean), factor
-    stats = CloudStats(n, n_soft, int(np.count_nonzero(skipped)), n_soft / n,
-                       *_finite_stats(inten), *_finite_stats(io), rescale_factor)
+    stats = CloudStats(n, n_soft, n_skipped, n_soft / n, rescale_factor)
     out = PointCloud(xyz, io, cloud.intensity_scale)
     provenance = soft.astype(np.uint8)
     return FoggifyOutcome(cloud=out, provenance=provenance, stats=stats)

@@ -29,7 +29,7 @@ from .optics import (
 
 @dataclass(frozen=True)
 class SoftResponseTable:
-    """Tabulated soft-return integral on the range grid r_k = k * grid_step.
+    """Tabulated soft-return integral on the range grid r_k = k * RANGE_STEP.
 
     values[k-1] holds the integral at r_k for k = 1..n; prefix_max and
     prefix_argmax hold the running maximum over r_1..r_k and the (first)
@@ -38,7 +38,6 @@ class SoftResponseTable:
     """
 
     alpha: float
-    grid_step: float
     values: np.ndarray
     prefix_max: np.ndarray
     prefix_argmax: np.ndarray
@@ -48,11 +47,6 @@ class SoftResponseTable:
     def n_entries(self) -> int:
         return len(self.values)
 
-    @property
-    def max_range(self) -> float:
-        """Largest range covered by the grid."""
-        return self.n_entries * self.grid_step
-
 
 def sensor_fingerprint(sensor: SensorModel) -> int:
     """64-bit fingerprint of everything the tabulated values depend on."""
@@ -60,7 +54,7 @@ def sensor_fingerprint(sensor: SensorModel) -> int:
     return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "little")
 
 
-def _prefix_max_argmax(values: np.ndarray, grid_step: float):
+def _prefix_max_argmax(values: np.ndarray):
     """Running maximum of nonnegative values and the range first achieving it.
 
     Reproduces a left-to-right strict-max scan starting from zero: ties keep
@@ -72,7 +66,7 @@ def _prefix_max_argmax(values: np.ndarray, grid_step: float):
     new_max = values > prev
     idx = np.where(new_max, np.arange(len(values), dtype=np.int64), np.int64(-1))
     idx = np.maximum.accumulate(idx)
-    argmax_range = (idx + 1) * grid_step
+    argmax_range = (idx + 1) * RANGE_STEP
     return pm, argmax_range
 
 
@@ -95,12 +89,11 @@ def build_tables(fogs, sensor: SensorModel) -> list:
     fingerprint = sensor_fingerprint(sensor)
     out = []
     for fog, values in zip(fogs, rows):
-        pm, am = _prefix_max_argmax(values, RANGE_STEP)
+        pm, am = _prefix_max_argmax(values)
         for arr in (values, pm, am):
             arr.setflags(write=False)
         out.append(SoftResponseTable(
             alpha=fog.alpha,
-            grid_step=RANGE_STEP,
             values=values,
             prefix_max=pm,
             prefix_argmax=am,
@@ -117,16 +110,16 @@ def build_table(fog: FogParams, sensor: SensorModel) -> SoftResponseTable:
 def _soft_max_at(table: SoftResponseTable, r0: np.ndarray):
     """(i_tmp, r_tmp) arrays: the prefix max and its range at positive ranges r0.
 
-    The grid is snapped down: k = min(floor(r0 / grid_step), n_entries),
+    The grid is snapped down: k = min(floor(r0 / RANGE_STEP), n_entries),
     with the division done in floating point, and k < 1 gives (0.0, 0.0),
     meaning "no soft contribution".  That k can be one less than the largest
-    k with k * grid_step <= r0: r0 = 4.3 = 43 * 0.1 reads entry 42, as do 98
+    k with k * RANGE_STEP <= r0: r0 = 4.3 = 43 * 0.1 reads entry 42, as do 98
     of the 2000 grid ranges k * 0.1.  A decimal r0 also often reads the
     entry below its decimal index (0.3 / 0.1 is 2.9999999999999996): 697 of
     the literals 0.1, 0.2, ..., 200.0 do.  `naive_soft_max` snaps the same
     way, so the lookup equals the naive scan of the grid bit for bit.
     """
-    k = np.minimum(np.floor(r0 / table.grid_step).astype(np.int64), table.n_entries)
+    k = np.minimum(np.floor(r0 / RANGE_STEP).astype(np.int64), table.n_entries)
     # entry 0 of each padded column is the (0.0, 0.0) of ranges below the grid
     return (np.concatenate(([0.0], table.prefix_max)).take(k),
             np.concatenate(([0.0], table.prefix_argmax)).take(k))
@@ -141,8 +134,8 @@ def query_soft_max(table: SoftResponseTable, r0: float):
     """
     if not r0 > 0.0:
         raise ValueError(f"query range must be positive, got {r0}")
-    if r0 > table.max_range:
-        raise ValueError(f"query range {r0} beyond table extent {table.max_range}")
+    if r0 > MAX_RANGE:
+        raise ValueError(f"query range {r0} beyond table extent {MAX_RANGE}")
     i_tmp, r_tmp = _soft_max_at(table, np.array([r0], dtype=np.float64))
     return float(i_tmp[0]), float(r_tmp[0])
 

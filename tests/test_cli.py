@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -9,10 +10,10 @@ import numpy as np
 import pytest
 
 import lidarfog
-from lidarfog import DEFAULT_ALPHA_SCHEDULE, sample_alpha
-from lidarfog.cli import main
+from lidarfog import DEFAULT_ALPHA_SCHEDULE, fog_from_alpha, foggify_cloud, sample_alpha
+from lidarfog.cli import _BOOL_FLAGS, _apply_config_file, build_parser, main
 from lidarfog.optics import MAX_RANGE
-from lidarfog.pointcloud_io import _PLY_HEADER
+from lidarfog.pointcloud_io import _PLY_HEADER, CloudFormat, read_cloud
 from lidarfog.rng import stable_key64, uniform01
 
 
@@ -22,6 +23,26 @@ def make_bin(path, n=500, seed=0, span=100.0):
     rows[:, 3] = np.abs(rows[:, 3])
     path.write_bytes(rows.tobytes())
     return rows
+
+
+STATS_FIELDS = ("n_points", "n_soft_replaced", "n_skipped", "fraction_replaced",
+                "rescale_factor")
+
+# the fewest arguments each subcommand parses with
+REQUIRED_ARGS = {
+    "simulate": ["--input", "a.bin", "--output", "b.bin"],
+    "sweep": ["--input-dir", "in", "--output-dir", "out"],
+    "response": ["--r0", "30", "--output", "c.csv"],
+    "intersect": ["s.bin", "l.bin", "--output", "k.bin"],
+}
+
+
+def store_true_flags():
+    """{subcommand: {flag name without dashes: dest}} of the parser's store_true options."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {cmd: {opt[2:]: a.dest for a in p._actions
+                  if isinstance(a, argparse._StoreTrueAction) for opt in a.option_strings}
+            for cmd, p in sub.choices.items()}
 
 
 @pytest.fixture
@@ -46,8 +67,12 @@ class TestSimulate:
         assert payload["alpha"] == 0.06
         assert payload["mor"] == 50.0
         assert payload["n_points"] == 500
-        assert set(payload) >= {"alpha", "mor", "n_points", "n_soft_replaced",
+        assert set(payload) == {"schema_version", "alpha", "mor", "beta", "beta_0", "seed",
+                                "n_points", "n_soft_replaced", "n_skipped",
                                 "fraction_replaced", "rescale_factor", "runtime_ms"}
+        direct = foggify_cloud(read_cloud(cloud_file, CloudFormat()), fog_from_alpha(0.06),
+                               lidarfog.SensorModel(), seed=42)
+        assert {k: payload[k] for k in STATS_FIELDS} == dataclasses.asdict(direct.stats)
         mask = np.frombuffer(prov.read_bytes(), dtype=np.uint8)
         assert len(mask) == 500
         assert set(np.unique(mask)) <= {0, 1}
@@ -136,6 +161,17 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--seed", "11",
                      "--input", str(cloud_file), "--output", str(c)]) == 0
         assert c.read_bytes() != a.read_bytes()
+
+    def test_config_booleans_match_the_parser(self, tmp_path):
+        flags = store_true_flags()
+        assert set(REQUIRED_ARGS) == set(flags)
+        assert set().union(*flags.values()) == _BOOL_FLAGS
+        cfg = tmp_path / "flag.cfg"
+        for cmd, names in flags.items():
+            for name, dest in names.items():
+                cfg.write_text(f"{name} = true\n")
+                argv = _apply_config_file([cmd, "--config", str(cfg), *REQUIRED_ARGS[cmd]])
+                assert getattr(build_parser().parse_args(argv), dest) is True, (cmd, name)
 
 
 class TestSweep:

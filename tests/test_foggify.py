@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -371,13 +372,7 @@ class TestFoggifyCloud:
         assert out.stats.rescale_factor == cloud.intensity_scale / finite_raw.max()
         assert np.isnan(out.cloud.intensity[17])
         assert np.nanmax(out.cloud.intensity) == cloud.intensity_scale
-        s = out.stats
-        assert s.n_skipped == 1
-        assert s.intensity_in_max == np.nanmax(cloud.intensity)
-        assert s.intensity_in_min == np.nanmin(cloud.intensity)
-        assert s.intensity_in_mean == pytest.approx(np.nanmean(cloud.intensity), rel=1e-12)
-        assert s.intensity_out_max == cloud.intensity_scale
-        assert math.isfinite(s.intensity_out_mean) and math.isfinite(s.intensity_out_min)
+        assert out.stats.n_skipped == 1
 
     def test_inf_intensity_does_not_zero_the_cloud(self, fog06, table06, sensor):
         cloud = random_cloud(1_000, seed=24)
@@ -389,8 +384,6 @@ class TestFoggifyCloud:
         assert others.max() == cloud.intensity_scale
         assert np.count_nonzero(others == 0.0) == np.count_nonzero(
             np.delete(raw.cloud.intensity, 5) == 0.0)
-        assert out.stats.intensity_in_max == np.delete(cloud.intensity, 5).max()
-        assert out.stats.intensity_out_max == cloud.intensity_scale
 
     def test_stats_bookkeeping(self, fog06, table06, sensor):
         cloud = random_cloud(1_000, seed=21)
@@ -400,10 +393,8 @@ class TestFoggifyCloud:
         assert len(out.provenance) == 1_000
         assert s.n_soft_replaced == int(np.count_nonzero(out.provenance))
         assert s.fraction_replaced == s.n_soft_replaced / s.n_points
-        assert s.intensity_in_max == cloud.intensity.max()
-        assert s.intensity_out_max == out.cloud.intensity.max()
-        assert set(s.to_dict()) >= {"n_points", "n_soft_replaced", "fraction_replaced",
-                                    "rescale_factor"}
+        assert [f.name for f in dataclasses.fields(s)] == [
+            "n_points", "n_soft_replaced", "n_skipped", "fraction_replaced", "rescale_factor"]
 
     def test_empty_cloud_rejected(self, fog06, table06, sensor):
         cloud = PointCloud(np.empty((0, 3)), np.empty(0))

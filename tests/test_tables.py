@@ -36,7 +36,11 @@ class TestBuild:
 
     def test_entry_count_and_extent(self, table06):
         assert table06.n_entries == 2000
-        assert table06.max_range >= MAX_RANGE
+        # the extent is inclusive: MAX_RANGE reads the last entry
+        assert query_soft_max(table06, MAX_RANGE) == (table06.prefix_max[-1],
+                                                      table06.prefix_argmax[-1])
+        with pytest.raises(ValueError, match="beyond table extent"):
+            query_soft_max(table06, np.nextafter(MAX_RANGE, np.inf))
 
     def test_prefix_max_nondecreasing(self, table06):
         assert np.all(np.diff(table06.prefix_max) >= 0.0)
@@ -47,7 +51,7 @@ class TestBuild:
         for k in range(1, table06.n_entries + 1):
             v = table06.values[k - 1]
             if v > best:
-                best, best_r = v, k * table06.grid_step
+                best, best_r = v, k * RANGE_STEP
             assert table06.prefix_max[k - 1] == best
             assert table06.prefix_argmax[k - 1] == best_r
 
@@ -103,7 +107,7 @@ class TestBuild:
 class TestPrefixHelper:
     def test_first_occurrence_tie_break(self):
         vals = np.array([0.0, 0.0, 3.0, 3.0, 1.0, 5.0, 5.0])
-        pm, am = _prefix_max_argmax(vals, 0.1)
+        pm, am = _prefix_max_argmax(vals)
         assert np.array_equal(pm, [0.0, 0.0, 3.0, 3.0, 3.0, 5.0, 5.0])
         assert am[0] == am[1] == 0.0  # no positive max yet: no contribution
         assert am[2] == am[3] == am[4] == pytest.approx(0.3)
@@ -120,13 +124,13 @@ class TestQuery:
         with pytest.raises(ValueError):
             query_soft_max(table06, -3.0)
         with pytest.raises(ValueError):
-            query_soft_max(table06, table06.max_range + 1.0)
+            query_soft_max(table06, MAX_RANGE + 1.0)
 
     def test_random_queries_match_naive_scan_bitwise(self, table06):
         rng = np.random.default_rng(7)
         for r0 in rng.uniform(0.01, 200.0, 300):
             i_tmp, r_tmp = query_soft_max(table06, float(r0))
-            k_max = int(r0 / table06.grid_step)
+            k_max = int(r0 / RANGE_STEP)
             ref_i, ref_r = naive_running_max(table06.values, min(k_max, table06.n_entries))
             assert i_tmp == ref_i
             assert r_tmp == ref_r
@@ -150,9 +154,9 @@ class TestQuery:
         # strictly increasing entries make the chosen entry visible everywhere
         step = RANGE_STEP
         values = np.arange(1, 2001) * step
-        pm, am = _prefix_max_argmax(values, step)
+        pm, am = _prefix_max_argmax(values)
         fog = fog_from_alpha(0.06)
-        table = SoftResponseTable(fog.alpha, step, values, pm, am, sensor_fingerprint(sensor))
+        table = SoftResponseTable(fog.alpha, values, pm, am, sensor_fingerprint(sensor))
         monkeypatch.setattr(tables, "soft_response_integral", lambda r, *args: r)
         below = {"product": 0, "literal": 0}
         for k in range(1, 2001):
