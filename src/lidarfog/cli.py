@@ -180,6 +180,9 @@ def cmd_sweep(args) -> int:
     names = sorted(n for n in os.listdir(args.input_dir) if n.endswith("." + args.format))
     if not names:
         raise ValueError(f"no .{args.format} files in {args.input_dir}")
+    # writing into the input directory would replace each clear scan with its foggy one
+    if os.path.exists(args.output_dir) and os.path.samefile(args.input_dir, args.output_dir):
+        raise ValueError(f"--output-dir {args.output_dir} is the input directory")
 
     # plan: each file's alpha is a pure function of (seed, name), so every
     # fog is checked and every table built, in one pass, before any file is
@@ -230,8 +233,8 @@ def cmd_response(args) -> int:
         raise ValueError(f"--r0 must exceed the crossover end r2={sensor.r2}")
     if r0 > MAX_RANGE:
         raise ValueError(f"--r0 must be within {MAX_RANGE} m")
-    ca_p0 = args.ca_p0 if args.ca_p0 is not None else 100.0 * r0 * r0 / fog.beta_0
-    energy = PulseEnergy(ca_p0)
+    energy = (PulseEnergy(args.ca_p0) if args.ca_p0 is not None
+              else PulseEnergy.from_reference(100.0, r0, fog.beta_0))
 
     span = sensor.pulse_span
     if not r0 + span <= RESPONSE_GRID_END:
@@ -243,8 +246,8 @@ def cmd_response(args) -> int:
 
     p_hard = np.exp(-2.0 * fog.alpha * r0) * clear_response(
         grid, r0, energy, fog, sensor, peak_correction=args.peak_correction)
-    p_soft = ca_p0 * fog.beta * soft_response_integrals(grid + shift, fog, sensor,
-                                                        hard_range=r0)
+    p_soft = energy.ca_p0 * fog.beta * soft_response_integrals(grid + shift, fog, sensor,
+                                                               hard_range=r0)
 
     table = build_table(fog, sensor)
     _, r_tmp = query_soft_max(table, r0)

@@ -40,6 +40,9 @@ DEFAULT_ALPHA_SCHEDULE = (0.0, 0.005, 0.01, 0.02, 0.03, 0.06)
 # fixed block decomposition keeps results worker-invariant; read at call time
 _BLOCK_SIZE = 1 << 16
 
+# the largest finite output intensity after rescaling: the full 8-bit range
+INTENSITY_SCALE = 255.0
+
 
 class Provenance(IntEnum):
     HARD_KEPT = 0
@@ -57,14 +60,9 @@ class Point:
 
 
 class PointCloud:
-    """Column store of points: xyz (n, 3) float64 and intensity (n,) float64.
+    """Column store of points: xyz (n, 3) float64 and intensity (n,) float64."""
 
-    `intensity_scale` declares the intensity value range of the source data
-    (255 for 8-bit sensors, 1.0 for normalized files); it is the target of
-    intensity rescaling and is carried through transformations unchanged.
-    """
-
-    def __init__(self, xyz, intensity, intensity_scale: float = 255.0):
+    def __init__(self, xyz, intensity):
         xyz = np.ascontiguousarray(xyz, dtype=np.float64)
         intensity = np.ascontiguousarray(intensity, dtype=np.float64)
         if xyz.ndim != 2 or xyz.shape[1] != 3:
@@ -73,24 +71,11 @@ class PointCloud:
             raise ValueError(
                 f"intensity shape {intensity.shape} does not match {xyz.shape[0]} points"
             )
-        if not intensity_scale > 0:
-            raise ValueError(f"intensity_scale must be positive, got {intensity_scale}")
         self.xyz = xyz
         self.intensity = intensity
-        self.intensity_scale = float(intensity_scale)
 
     def __len__(self) -> int:
         return self.xyz.shape[0]
-
-    def point(self, i: int) -> Point:
-        return Point(self.xyz[i, 0], self.xyz[i, 1], self.xyz[i, 2], self.intensity[i])
-
-    @classmethod
-    def from_points(cls, points: Sequence[Point],
-                    intensity_scale: float = 255.0) -> "PointCloud":
-        xyz = np.array([(p.x, p.y, p.z) for p in points], dtype=np.float64).reshape(-1, 3)
-        inten = np.array([p.intensity for p in points], dtype=np.float64)
-        return cls(xyz, inten, intensity_scale)
 
 
 @dataclass(frozen=True)
@@ -239,7 +224,7 @@ def foggify_cloud(
     index); points that stay are not drawn.  `workers` threads (default: CPU
     count) share the fixed blocks; it must be an integer of at least 1.
     With `rescale`, intensities are scaled by one per-cloud linear factor so
-    the maximum reaches `cloud.intensity_scale` (mimicking a sensor gain
+    the maximum reaches `INTENSITY_SCALE` (mimicking a sensor gain
     stage that always fills the value range); ratios between points are
     preserved.  The rescale maximum is taken over finite values only.  The
     stats count the points, relocated points and skipped points, and state
@@ -277,16 +262,16 @@ def foggify_cloud(
     max_out = float(io.max())
     if not math.isfinite(max_out):  # NaN or inf passed through by skipped points
         max_out = float(io[np.isfinite(io)].max(initial=0.0))
-    factor = cloud.intensity_scale / max_out if max_out > 0.0 else math.inf
-    # a largest intensity below intensity_scale / DBL_MAX (~1.4e-306 at 255)
+    factor = INTENSITY_SCALE / max_out if max_out > 0.0 else math.inf
+    # a largest intensity below INTENSITY_SCALE / DBL_MAX (~1.4e-306)
     # gives no finite factor; such a cloud is left unscaled, so the stats
     # always state the factor applied
     if rescale and math.isfinite(factor):
-        io = (io / max_out) * cloud.intensity_scale
+        io = (io / max_out) * INTENSITY_SCALE
         rescale_factor = factor
 
     n_soft = int(np.count_nonzero(soft))
     stats = CloudStats(n, n_soft, n_skipped, n_soft / n, rescale_factor)
-    out = PointCloud(xyz, io, cloud.intensity_scale)
+    out = PointCloud(xyz, io)
     provenance = soft.astype(np.uint8)
     return FoggifyOutcome(cloud=out, provenance=provenance, stats=stats)

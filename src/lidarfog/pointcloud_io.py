@@ -45,14 +45,11 @@ class CloudFormat:
     """
 
     kind: str = BIN_KIND
-    intensity_scale: float = 255.0
     columns: int = 4
 
     def __post_init__(self):
         if self.kind not in (BIN_KIND, PLY_KIND):
             raise ValueError(f"unknown cloud format kind {self.kind!r}")
-        if not self.intensity_scale > 0:
-            raise ValueError(f"intensity_scale must be positive, got {self.intensity_scale}")
         if self.columns < 4:
             raise ValueError(f"records need at least 4 columns, got {self.columns}")
         if self.columns != 4 and self.kind != BIN_KIND:
@@ -101,6 +98,8 @@ def _read_ply_header(fh, path) -> int:
     """Consume the header through `end_header`; return the vertex count."""
     if fh.readline().strip() != "ply":
         raise MalformedFileError(f"{path}: missing ply magic line")
+    if fh.readline().strip() != "format ascii 1.0":
+        raise MalformedFileError(f"{path}: unsupported ply layout")
     n = None
     props = []
     while True:
@@ -182,7 +181,7 @@ def read_cloud(path, fmt: CloudFormat = CloudFormat(), allow_nonfinite: bool = F
         rows = _read_bin(path, allow_nonfinite, fmt.columns)
     else:
         rows = _read_ply(path, allow_nonfinite)
-    return PointCloud(rows[:, :3], rows[:, 3], fmt.intensity_scale)
+    return PointCloud(rows[:, :3], rows[:, 3])
 
 
 def write_cloud(cloud: PointCloud, path, fmt: CloudFormat = CloudFormat()) -> None:
@@ -300,5 +299,4 @@ def intersect_returns(strongest: PointCloud, last: PointCloud,
     if tol < 0 or math.isnan(tol):
         raise ValueError(f"tolerance must be >= 0, got {tol}")
     mask = _match_mask(strongest.xyz, last.xyz, tol)
-    return PointCloud(strongest.xyz[mask], strongest.intensity[mask],
-                      strongest.intensity_scale)
+    return PointCloud(strongest.xyz[mask], strongest.intensity[mask])

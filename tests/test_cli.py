@@ -237,6 +237,16 @@ class TestSweep:
                      "--alphas", "0.02,nan", "--beta", "0.001"]) == 2
         assert not dst.exists()
 
+    def test_output_dir_equal_to_input_exits_2(self, tmp_path, capsys):
+        src = self._make_dir(tmp_path, n_files=1)
+        before = (src / "0000.bin").read_bytes()
+        (tmp_path / "link").symlink_to(src, target_is_directory=True)
+        for dst in (src, src / ".", tmp_path / "link"):
+            assert main(["sweep", "--input-dir", str(src), "--output-dir", str(dst)]) == 2
+            assert "is the input directory" in capsys.readouterr().err
+            assert sorted(os.listdir(src)) == ["0000.bin"]
+            assert (src / "0000.bin").read_bytes() == before
+
     def test_workers_below_one_exit_2(self, tmp_path):
         src = self._make_dir(tmp_path, n_files=2)
         dst = tmp_path / "out"
@@ -413,6 +423,11 @@ class TestIntersect:
         for name, content in {
             "count.ply": _PLY_HEADER.format(n="x") + "1 2 3 4\n",
             "latin1.ply": _PLY_HEADER.format(n=1) + "1 2 3 4\xe9\n",
+            # an ASCII body under a binary or missing format line
+            "binary.ply": _PLY_HEADER.format(n=1).replace("ascii", "binary_little_endian")
+                          + "1 2 3 4\n",
+            "noformat.ply": _PLY_HEADER.format(n=1).replace("format ascii 1.0\n", "")
+                            + "1 2 3 4\n",
         }.items():
             bad = tmp_path / name
             bad.write_bytes(content.encode("latin-1"))

@@ -52,7 +52,7 @@ def random_cloud(n, seed=0, span=120.0, scale=255.0):
     rng = np.random.default_rng(seed)
     xyz = rng.uniform(-span / np.sqrt(3), span / np.sqrt(3), (n, 3))
     inten = rng.uniform(0.0, scale, n)
-    return PointCloud(xyz, inten, intensity_scale=scale)
+    return PointCloud(xyz, inten)
 
 
 class TestConversions:
@@ -208,8 +208,8 @@ class TestFoggifyCloud:
         cloud = random_cloud(257, seed=14)
         out = foggify_cloud(cloud, fog06, sensor, seed=21, rescale=False, table=table06)
         for i in range(len(cloud)):
-            p, tag = foggify_point(cloud.point(i), fog06, sensor, table06,
-                                   uniform01(21, i))
+            p, tag = foggify_point(Point(*cloud.xyz[i], cloud.intensity[i]), fog06, sensor,
+                                   table06, uniform01(21, i))
             assert (p.x, p.y, p.z, p.intensity) == (
                 out.cloud.xyz[i, 0], out.cloud.xyz[i, 1], out.cloud.xyz[i, 2],
                 out.cloud.intensity[i])
@@ -294,15 +294,16 @@ class TestFoggifyCloud:
         assert np.all(r_tmp <= r0[soft])
 
     def test_rescale_hits_scale_exactly(self, fog06, table06, sensor):
-        cloud = random_cloud(5_000, seed=20)
-        out = foggify_cloud(cloud, fog06, sensor, seed=7, rescale=True, table=table06)
-        assert out.cloud.intensity.max() == cloud.intensity_scale
-        raw = foggify_cloud(cloud, fog06, sensor, seed=7, rescale=False, table=table06)
-        ratio_out = out.cloud.intensity[1:] / out.cloud.intensity[0]
-        ratio_raw = raw.cloud.intensity[1:] / raw.cloud.intensity[0]
-        assert np.allclose(ratio_out, ratio_raw, rtol=1e-12)
-        assert out.stats.rescale_factor == pytest.approx(
-            cloud.intensity_scale / raw.cloud.intensity.max(), rel=1e-12)
+        for scale in (255.0, 1.0):  # 8-bit intensity and KITTI-style reflectance
+            cloud = random_cloud(5_000, seed=20, scale=scale)
+            out = foggify_cloud(cloud, fog06, sensor, seed=7, rescale=True, table=table06)
+            assert out.cloud.intensity.max() == foggify.INTENSITY_SCALE == 255.0
+            raw = foggify_cloud(cloud, fog06, sensor, seed=7, rescale=False, table=table06)
+            ratio_out = out.cloud.intensity[1:] / out.cloud.intensity[0]
+            ratio_raw = raw.cloud.intensity[1:] / raw.cloud.intensity[0]
+            assert np.allclose(ratio_out, ratio_raw, rtol=1e-12)
+            assert out.stats.rescale_factor == pytest.approx(
+                foggify.INTENSITY_SCALE / raw.cloud.intensity.max(), rel=1e-12)
 
     def test_rescale_skipped_for_all_zero(self, fog06, table06, sensor):
         cloud = PointCloud(np.array([[20.0, 0, 0], [0, 30.0, 0]]), np.zeros(2))
@@ -369,9 +370,9 @@ class TestFoggifyCloud:
         raw = foggify_cloud(cloud, fog06, sensor, seed=1, rescale=False, table=table06)
         out = foggify_cloud(cloud, fog06, sensor, seed=1, table=table06)
         finite_raw = np.delete(raw.cloud.intensity, 17)
-        assert out.stats.rescale_factor == cloud.intensity_scale / finite_raw.max()
+        assert out.stats.rescale_factor == foggify.INTENSITY_SCALE / finite_raw.max()
         assert np.isnan(out.cloud.intensity[17])
-        assert np.nanmax(out.cloud.intensity) == cloud.intensity_scale
+        assert np.nanmax(out.cloud.intensity) == foggify.INTENSITY_SCALE
         assert out.stats.n_skipped == 1
 
     def test_inf_intensity_does_not_zero_the_cloud(self, fog06, table06, sensor):
@@ -381,7 +382,7 @@ class TestFoggifyCloud:
         out = foggify_cloud(cloud, fog06, sensor, seed=1, table=table06)
         others = np.delete(out.cloud.intensity, 5)
         assert out.cloud.intensity[5] == np.inf
-        assert others.max() == cloud.intensity_scale
+        assert others.max() == foggify.INTENSITY_SCALE
         assert np.count_nonzero(others == 0.0) == np.count_nonzero(
             np.delete(raw.cloud.intensity, 5) == 0.0)
 
@@ -426,12 +427,3 @@ class TestPointCloudType:
             PointCloud(np.zeros((3, 2)), np.zeros(3))
         with pytest.raises(ValueError):
             PointCloud(np.zeros((3, 3)), np.zeros(4))
-        for bad_scale in (0.0, -1.0, np.nan):
-            with pytest.raises(ValueError):
-                PointCloud(np.zeros((1, 3)), np.zeros(1), intensity_scale=bad_scale)
-
-    def test_from_points_roundtrip(self):
-        pts = [Point(1.0, 2.0, 3.0, 4.0), Point(-1.0, 0.5, 0.25, 9.0)]
-        cloud = PointCloud.from_points(pts)
-        assert len(cloud) == 2
-        assert cloud.point(1) == pts[1]

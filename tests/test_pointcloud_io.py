@@ -177,13 +177,17 @@ class TestPlyFormat:
             "countword.ply": _PLY_HEADER.format(n="x") + "1 2 3 4\n",
             "negcount.ply": _PLY_HEADER.format(n=-3),
             "latin1.ply": _PLY_HEADER.format(n=1) + "1 2 3 4\xe9\n",
+            "binary.ply": _PLY_HEADER.format(n=1).replace("ascii", "binary_little_endian")
+                          + "1 2 3 4\n",
+            "noformat.ply": _PLY_HEADER.format(n=1).replace("format ascii 1.0\n", "")
+                            + "1 2 3 4\n",
         }
         for name, content in cases.items():
             path = tmp_path / name
             path.write_bytes(content.encode("latin-1"))
             with pytest.raises(MalformedFileError, match=re.escape(str(path))):
                 read_cloud(path, PLY)
-        for name in ("countword.ply", "negcount.ply"):
+        for name in ("countword.ply", "negcount.ply", "binary.ply", "noformat.ply"):
             with pytest.raises(MalformedFileError, match="unsupported ply layout"):
                 read_cloud(tmp_path / name, PLY)
 
@@ -277,19 +281,10 @@ class TestFormatType:
     def test_validation(self):
         with pytest.raises(ValueError):
             CloudFormat("pcd")
-        for bad_scale in (-1.0, 0.0, np.nan):
-            with pytest.raises(ValueError):
-                CloudFormat("bin", intensity_scale=bad_scale)
         with pytest.raises(ValueError):
             CloudFormat("bin", columns=3)
         with pytest.raises(ValueError):
             CloudFormat("ply", columns=5)
-
-    def test_intensity_scale_propagates(self, tmp_path):
-        path = tmp_path / "s.bin"
-        write_cloud(f32_cloud(3), path, BIN)
-        cloud = read_cloud(path, CloudFormat("bin", intensity_scale=1.0))
-        assert cloud.intensity_scale == 1.0
 
 
 class TestIntersect:

@@ -24,6 +24,7 @@ from scipy.spatial import cKDTree
 import lidarfog.cli as cli
 import lidarfog.foggify as foggify
 from lidarfog import (
+    Point,
     PointCloud,
     Provenance,
     build_table,
@@ -131,7 +132,8 @@ def test_provenance_follows_the_per_point_rule(sensor, cloud, alpha, seed):
             i_soft = (inten * r0[i] * r0[i] / fog.beta_0) * fog.beta * i_tmp
             expect = bool(i_soft > hard_peak_intensity(inten, float(r0[i]), fog.alpha))
         assert out.provenance[i] == expect, f"point {i}"
-        p, tag = foggify_point(cloud.point(i), fog, sensor, table, uniform01(seed, i))
+        p, tag = foggify_point(Point(*cloud.xyz[i], cloud.intensity[i]), fog, sensor, table,
+                               uniform01(seed, i))
         assert tag == out.provenance[i]
         assert same_bits([p.x, p.y, p.z, p.intensity],
                          [*out.cloud.xyz[i], out.cloud.intensity[i]])
@@ -168,9 +170,9 @@ def dense_foggify(cloud, fog, table, seed, rescale, block):
                                                cloud.intensity[lo:hi], draws, fog, table))
     x, y, z, inten, soft, skipped = (np.concatenate(p) for p in zip(*parts))
     top = float(inten[np.isfinite(inten)].max(initial=0.0))
-    factor = cloud.intensity_scale / top if top > 0.0 else math.inf
+    factor = foggify.INTENSITY_SCALE / top if top > 0.0 else math.inf
     if rescale and math.isfinite(factor):
-        inten = (inten / top) * cloud.intensity_scale
+        inten = (inten / top) * foggify.INTENSITY_SCALE
     else:
         factor = 1.0
     n_soft = int(np.count_nonzero(soft))

@@ -1,10 +1,15 @@
-"""The benchmark's tracer reaches lidarfog through the bindings listed in
-`perfbench/spans.py` (``TARGETS``).  An API cut that drops one of them makes
-``perfbench/run.py --trace 1`` fail while every other test passes."""
+"""Checks that outside users of the API still resolve after an API cut.
+
+The benchmark's tracer reaches lidarfog through the bindings listed in
+`perfbench/spans.py` (``TARGETS``); an API cut that drops one of them makes
+``perfbench/run.py --trace 1`` fail while every other test passes.  The
+README's Python API example is run as written."""
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+import numpy as np
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -22,3 +27,21 @@ def test_every_traced_binding_resolves():
     for module_name, attr, span in targets:
         fn = getattr(importlib.import_module(module_name), attr, None)
         assert callable(fn), f"{module_name}.{attr} (span {span}) is gone"
+
+
+README_PATH = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_python_example_runs(tmp_path, monkeypatch):
+    text = README_PATH.read_text(encoding="utf-8")
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    # a small KITTI-style scan: float32 x, y, z and reflectance in [0, 1]
+    rng = np.random.default_rng(0)
+    rows = np.column_stack((rng.uniform(-60.0, 60.0, (2_000, 3)),
+                            rng.uniform(0.0, 1.0, 2_000))).astype("<f4")
+    (tmp_path / "scan.bin").write_bytes(rows.tobytes())
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, str(README_PATH), "exec"), {})
+    out = np.fromfile(tmp_path / "scan_foggy.bin", dtype="<f4").reshape(-1, 4)
+    assert out.shape == rows.shape
+    assert out[:, 3].max() == 255.0
