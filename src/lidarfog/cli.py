@@ -26,6 +26,7 @@ import numpy as np
 from .foggify import (
     DEFAULT_ALPHA_SCHEDULE,
     FoggifyOutcome,
+    alpha_to_mor,
     fog_from_alpha,
     fog_from_mor,
     foggify_cloud,
@@ -131,15 +132,16 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _stats_payload(fog: FogParams, seed, outcome: FoggifyOutcome, runtime_ms: float) -> dict:
-    mor = fog.mor
+def _stats_payload(args, fog: FogParams, outcome: FoggifyOutcome, runtime_ms: float) -> dict:
+    # the MOR as given: 3 / (3 / 7.1) is not 7.1
+    mor = args.mor if args.mor is not None else alpha_to_mor(fog.alpha)
     return {
         "schema_version": STATS_SCHEMA_VERSION,
         "alpha": fog.alpha,
-        "mor": mor if mor is not None and math.isfinite(mor) else None,
+        "mor": mor if math.isfinite(mor) else None,
         "beta": fog.beta,
         "beta_0": fog.beta_0,
-        "seed": seed,
+        "seed": args.seed,
         **dataclasses.asdict(outcome.stats),
         "runtime_ms": runtime_ms,
     }
@@ -159,7 +161,7 @@ def cmd_simulate(args) -> int:
     runtime_ms = (time.perf_counter() - t0) * 1e3
     write_cloud(outcome.cloud, args.output, fmt)
     if args.stats:
-        _write_json(args.stats, _stats_payload(fog, args.seed, outcome, runtime_ms))
+        _write_json(args.stats, _stats_payload(args, fog, outcome, runtime_ms))
     if args.provenance:
         with open(args.provenance, "wb") as fh:
             outcome.provenance.tofile(fh)

@@ -23,8 +23,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .optics import (
-    BETA_MOR_SCALE,
-    MOR_ALPHA_PRODUCT,
     DEFAULT_BETA_0,
     MAX_RANGE,
     FogParams,
@@ -32,10 +30,16 @@ from .optics import (
     hard_peak_intensity,
 )
 from .rng import uniform01
-from .tables import SoftResponseTable, _soft_max_at, build_table, sensor_fingerprint
+from .tables import SoftResponseTable, _soft_max_at, build_table
 
 # training-style attenuation schedule: clear air through dense fog (MOR 50 m)
 DEFAULT_ALPHA_SCHEDULE = (0.0, 0.005, 0.01, 0.02, 0.03, 0.06)
+
+# alpha * MOR: optical attenuation versus meteorological optical range for
+# fog droplets in the NIR band (alpha = 0.06/m <-> MOR = 50 m).
+MOR_ALPHA_PRODUCT = 3.0
+# backscattering coefficient scale: beta = 0.046 / MOR
+BETA_MOR_SCALE = 0.046
 
 # fixed block decomposition keeps results worker-invariant; read at call time
 _BLOCK_SIZE = 1 << 16
@@ -100,14 +104,19 @@ def alpha_to_mor(alpha: float) -> float:
     """Meteorological optical range for an attenuation coefficient (inf at 0)."""
     if not alpha >= 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    return float("inf") if alpha == 0 else MOR_ALPHA_PRODUCT / alpha
+    if alpha == math.inf:
+        raise ValueError("alpha must be finite, got inf")
+    return math.inf if alpha == 0 else MOR_ALPHA_PRODUCT / alpha
 
 
 def mor_to_alpha(mor: float) -> float:
     """Attenuation coefficient for a meteorological optical range."""
     if not mor > 0:
         raise ValueError(f"mor must be positive, got {mor}")
-    return 0.0 if np.isinf(mor) else MOR_ALPHA_PRODUCT / mor
+    alpha = 0.0 if np.isinf(mor) else MOR_ALPHA_PRODUCT / mor
+    if not math.isfinite(alpha):  # a MOR below 3 / DBL_MAX, about 1.7e-308
+        raise ValueError(f"mor {mor} is too small: its alpha is not finite")
+    return alpha
 
 
 def mor_to_beta(mor: float) -> float:
@@ -119,11 +128,11 @@ def mor_to_beta(mor: float) -> float:
 
 def fog_from_alpha(alpha: float, beta: Optional[float] = None,
                    beta_0: float = DEFAULT_BETA_0) -> FogParams:
-    """FogParams with MOR and (unless given) beta derived from alpha."""
+    """FogParams with (unless given) beta derived from alpha through its MOR."""
     mor = alpha_to_mor(alpha)
     if beta is None:
         beta = mor_to_beta(mor) if alpha > 0 else 0.0
-    return FogParams(alpha=alpha, beta=beta, beta_0=beta_0, mor=mor)
+    return FogParams(alpha=alpha, beta=beta, beta_0=beta_0)
 
 
 def fog_from_mor(mor: float, beta: Optional[float] = None,
@@ -132,7 +141,7 @@ def fog_from_mor(mor: float, beta: Optional[float] = None,
     alpha = mor_to_alpha(mor)
     if beta is None:
         beta = mor_to_beta(mor)
-    return FogParams(alpha=alpha, beta=beta, beta_0=beta_0, mor=mor)
+    return FogParams(alpha=alpha, beta=beta, beta_0=beta_0)
 
 
 def sample_alpha(schedule: Sequence[float], draw: float) -> float:
@@ -153,8 +162,9 @@ def _transform_block(xyz, inten, draw, fog: FogParams, table: SoftResponseTable,
     relocated rows only; the other rows keep their coordinates without any
     arithmetic.  Skipped points (zero/overlong range, non-finite
     coordinates, negative or non-finite intensity) pass through unchanged;
-    the return value counts them.  The table is read with `_soft_max_at`,
-    the lookup of `query_soft_max`.
+    the return value counts them.  A fog return that overflows (a huge beta
+    or a tiny beta_0) raises ValueError.  The table is read with
+    `_soft_max_at`, the lookup of `query_soft_max`.
     """
     x, y, z = xyz[:, 0], xyz[:, 1], xyz[:, 2]
     r0 = np.sqrt(x * x + y * y + z * z)
@@ -166,17 +176,24 @@ def _transform_block(xyz, inten, draw, fog: FogParams, table: SoftResponseTable,
 
     i_tmp, r_tmp = _soft_max_at(table, r0s)
     i_hard = hard_peak_intensity(inten_s, r0s, fog.alpha)
-    i_soft = (inten_s * r0s * r0s / fog.beta_0) * fog.beta * i_tmp
+    with np.errstate(over="ignore", invalid="ignore"):
+        i_soft = (inten_s * r0s * r0s / fog.beta_0) * fog.beta * i_tmp
     np.logical_and(valid, i_soft > i_hard, out=soft)
+    k = np.flatnonzero(soft)
+    # an overflowed i_soft is inf, which beats the finite i_hard, so the
+    # relocated rows hold every overflow (inf * 0 is NaN and never wins)
+    i_soft = i_soft[k]
+    if not np.isfinite(i_soft).all():
+        raise ValueError(f"the fog return overflows: beta={fog.beta} and "
+                         f"beta_0={fog.beta_0} give a non-finite intensity")
 
     # noise factor 2^p with p uniform in [-1, 1); the new range n * r_tmp is
     # applied along the unit direction so a median draw lands exactly on the
     # table argmax range
-    k = np.flatnonzero(soft)
     new_range = np.exp2(2.0 * draw(k) - 1.0) * r_tmp[k]
     xyz[k] = (xyz[k] / r0s[k, None]) * new_range[:, None]
     np.copyto(inten, i_hard, where=valid)
-    inten[k] = i_soft[k]
+    inten[k] = i_soft
     return valid.size - int(np.count_nonzero(valid))
 
 
@@ -185,8 +202,8 @@ def _check_table(table: SoftResponseTable, fog: FogParams, sensor: SensorModel):
         raise ValueError(
             f"table was built for alpha={table.alpha}, fog has alpha={fog.alpha}"
         )
-    if table.sensor_fingerprint != sensor_fingerprint(sensor):
-        raise ValueError("table was built for another sensor (fingerprint mismatch)")
+    if table.sensor != sensor:
+        raise ValueError(f"table was built for another sensor: {table.sensor}, not {sensor}")
 
 
 def foggify_point(p: Point, fog: FogParams, sensor: SensorModel,

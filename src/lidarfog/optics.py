@@ -31,16 +31,9 @@ SPEED_OF_LIGHT = 299_792_458.0  # [m/s]
 RANGE_STEP = 0.1  # [m]
 MAX_RANGE = 200.0  # [m]
 
-# alpha * MOR: optical attenuation versus meteorological optical range for
-# fog droplets in the NIR band (alpha = 0.06/m <-> MOR = 50 m).
-MOR_ALPHA_PRODUCT = 3.0
-# backscattering coefficient scale: beta = 0.046 / MOR
-BETA_MOR_SCALE = 0.046
-
 DEFAULT_BETA_0 = 1e-6 / np.pi  # [1/sr] hard-target differential reflectivity
 
-# Simpson subintervals per smooth panel (even).  Read at call time; part of
-# every table's sensor fingerprint.
+# Simpson subintervals per smooth panel (even).  Read at call time.
 _SUBINTERVALS = 40
 
 # Panels of the soft-return quadrature grow geometrically away from the
@@ -87,14 +80,11 @@ class FogParams:
     alpha   attenuation coefficient [1/m]
     beta    backscattering coefficient of the fog volume [1/m]
     beta_0  differential reflectivity of hard targets [1/sr], Gamma/pi
-    mor     meteorological optical range [m], optional bookkeeping; when set
-            it must agree with alpha within 5%
     """
 
     alpha: float
     beta: float
     beta_0: float = DEFAULT_BETA_0
-    mor: Optional[float] = None
 
     def __post_init__(self):
         if not 0 <= self.alpha < np.inf:
@@ -103,16 +93,6 @@ class FogParams:
             raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
         if not 0 < self.beta_0 <= 1.0 / np.pi:
             raise ValueError(f"beta_0 must lie in (0, 1/pi], got {self.beta_0}")
-        if self.mor is not None:
-            if not self.mor > 0:
-                raise ValueError(f"mor must be positive, got {self.mor}")
-            if self.alpha > 0 and np.isfinite(self.mor):
-                ref = MOR_ALPHA_PRODUCT / self.alpha
-                if abs(self.mor - ref) > 0.05 * ref:
-                    raise ValueError(
-                        f"mor={self.mor} inconsistent with alpha={self.alpha} "
-                        f"(expected about {ref:.6g} m)"
-                    )
 
 
 @dataclass(frozen=True)

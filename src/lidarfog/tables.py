@@ -11,8 +11,6 @@ sweep's tables in that one pass: the quadrature nodes do not depend on
 alpha, so each block of ranges forms them once for every alpha.
 """
 
-import hashlib
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,25 +31,20 @@ class SoftResponseTable:
 
     values[k-1] holds the integral at r_k for k = 1..n; prefix_max and
     prefix_argmax hold the running maximum over r_1..r_k and the (first)
-    range achieving it.  Arrays are read-only; a built table is immutable
-    and safe to share across any number of query workers.
+    range achieving it.  `alpha` and `sensor` are the fog attenuation and
+    the sensor the table was built for.  Arrays are read-only; a built table
+    is immutable and safe to share across any number of query workers.
     """
 
     alpha: float
     values: np.ndarray
     prefix_max: np.ndarray
     prefix_argmax: np.ndarray
-    sensor_fingerprint: int
+    sensor: SensorModel
 
     @property
     def n_entries(self) -> int:
         return len(self.values)
-
-
-def sensor_fingerprint(sensor: SensorModel) -> int:
-    """64-bit fingerprint of everything the tabulated values depend on."""
-    payload = struct.pack("<3di", sensor.tau_h, sensor.r1, sensor.r2, optics._SUBINTERVALS)
-    return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "little")
 
 
 def _prefix_max_argmax(values: np.ndarray):
@@ -86,7 +79,6 @@ def build_tables(fogs, sensor: SensorModel) -> list:
     n = int(np.ceil(MAX_RANGE / RANGE_STEP))
     rows = optics._soft_integrals(np.arange(1, n + 1) * RANGE_STEP,
                                   [fog.alpha for fog in fogs], sensor)
-    fingerprint = sensor_fingerprint(sensor)
     out = []
     for fog, values in zip(fogs, rows):
         pm, am = _prefix_max_argmax(values)
@@ -97,7 +89,7 @@ def build_tables(fogs, sensor: SensorModel) -> list:
             values=values,
             prefix_max=pm,
             prefix_argmax=am,
-            sensor_fingerprint=fingerprint,
+            sensor=sensor,
         ))
     return out
 

@@ -115,15 +115,43 @@ class TestSimulate:
                    "--output", str(tmp_path / "o.bin"), "--alpha", "0.06"])
         assert rc == 1
 
-    def test_parameter_conflicts_exit_2(self, tmp_path, cloud_file):
+    def test_parameter_conflicts_exit_2(self, tmp_path, cloud_file, capsys):
         out = str(tmp_path / "o.bin")
         base = ["simulate", "--input", str(cloud_file), "--output", out]
         assert main(base + ["--alpha", "0.06", "--mor", "50"]) == 2
         assert main(base) == 2                       # neither alpha nor mor
         assert main(base + ["--alpha", "-1"]) == 2   # invalid value
+        # out of the other quantity's domain: the message names the flag given
+        capsys.readouterr()
+        for flags, name in ((["--alpha", "inf"], "alpha"), (["--mor", "1e-309"], "mor")):
+            assert main(base + flags) == 2
+            assert capsys.readouterr().err.startswith(f"error: {name} ")
         assert main(base + ["--alpha", "0.06", "--r1", "2", "--r2", "1"]) == 2
         for tau_h in ("inf", "1e300"):  # no finite pulse span
             assert main(base + ["--alpha", "0.06", "--tau-h", tau_h]) == 2
+
+    def test_stats_mor_is_the_mor_given(self, tmp_path, cloud_file):
+        # 3 / (3 / 7.1) is 7.099999999999999: the MOR is not derived from alpha
+        stats = tmp_path / "stats.json"
+        base = ["simulate", "--input", str(cloud_file), "--output", str(tmp_path / "o.bin"),
+                "--stats", str(stats)]
+        for flags, mor in ((["--mor", "7.1"], 7.1), (["--mor", "inf"], None),
+                           (["--alpha", "0.06"], 50.0), (["--alpha", "0"], None)):
+            assert main(base + flags) == 0
+            assert json.loads(stats.read_text())["mor"] == mor
+
+    def test_overflowing_fog_return_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        scan = tmp_path / "scan.bin"
+        rows = make_bin(scan, n=300)
+        rows[:, 3] /= rows[:, 3].max()  # KITTI-style reflectance in [0, 1]
+        scan.write_bytes(rows.tobytes())
+        outputs = [tmp_path / name for name in ("o.bin", "stats.json", "prov.bin")]
+        base = ["simulate", "--input", str(scan), "--output", str(outputs[0]),
+                "--stats", str(outputs[1]), "--provenance", str(outputs[2]), "--alpha", "0.06"]
+        for flags in (["--beta", "1e308"], ["--beta0", "1e-320"]):
+            assert main(base + flags) == 2
+            assert "overflows" in capsys.readouterr().err
+            assert not any(path.exists() for path in outputs)
 
     def test_empty_input_exits_1_and_names_file(self, tmp_path, capsys):
         empty = tmp_path / "empty.bin"
@@ -218,6 +246,17 @@ class TestSweep:
         assert len(manifest["files"]) == 4
         assert "broken.bin" in manifest["failures"]
         assert "broken.bin" in capsys.readouterr().err
+
+    def test_overflowing_fog_return_is_a_failure(self, tmp_path):
+        src = self._make_dir(tmp_path, n_files=3)
+        dst = tmp_path / "out"
+        assert main(["sweep", "--input-dir", str(src), "--output-dir", str(dst),
+                     "--alphas", "0.06", "--beta", "1e308"]) == 1
+        manifest = json.loads((dst / "manifest.json").read_text())
+        assert manifest["files"] == {}
+        assert set(manifest["failures"]) == {"0000.bin", "0001.bin", "0002.bin"}
+        assert all("overflows" in err for err in manifest["failures"].values())
+        assert sorted(os.listdir(dst)) == ["manifest.json"]
 
     def test_empty_file_is_a_failure(self, tmp_path):
         src = self._make_dir(tmp_path, n_files=2)

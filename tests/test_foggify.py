@@ -48,6 +48,10 @@ def table_zero(fog_zero, sensor):
     return build_table(fog_zero, sensor)
 
 
+# one changed field per case: each takes part in the table's sensor check
+SENSOR_CHANGES = ({"tau_h": 10e-9}, {"r1": 0.8}, {"r2": 1.1})
+
+
 def random_cloud(n, seed=0, span=120.0, scale=255.0):
     rng = np.random.default_rng(seed)
     xyz = rng.uniform(-span / np.sqrt(3), span / np.sqrt(3), (n, 3))
@@ -78,6 +82,16 @@ class TestConversions:
             mor_to_beta(0.0)
         with pytest.raises(ValueError):
             mor_to_alpha(-5.0)
+        # an infinite alpha has no positive MOR, a subnormal MOR no finite
+        # alpha; each message names the quantity passed
+        with pytest.raises(ValueError, match="^alpha must be finite, got inf$"):
+            alpha_to_mor(float("inf"))
+        for mor in (1e-309, 5e-324):
+            with pytest.raises(ValueError, match=f"^mor {mor} is too small"):
+                mor_to_alpha(mor)
+            with pytest.raises(ValueError, match=f"^mor {mor} is too small"):
+                fog_from_mor(mor)
+        assert mor_to_alpha(1.7e-308) == 3.0 / 1.7e-308
 
     def test_factories_agree(self):
         # the same atmosphere reached through alpha or through MOR
@@ -173,9 +187,20 @@ class TestFoggifyPoint:
             foggify_point(Point(1, 1, 1, 1), fog06, sensor, table_heavy, 0.5)
 
     def test_table_sensor_mismatch_rejected(self, fog06, table06):
-        with pytest.raises(ValueError, match="another sensor"):
-            foggify_point(Point(30.0, 0.0, 0.0, 100.0), fog06, SensorModel(tau_h=10e-9),
-                          table06, 0.5)
+        p = Point(30.0, 0.0, 0.0, 100.0)
+        for change in SENSOR_CHANGES:
+            other = dataclasses.replace(SensorModel(), **change)
+            with pytest.raises(ValueError, match="another sensor"):
+                foggify_point(p, fog06, other, table06, 0.5)
+        # an equal sensor built separately is the same sensor
+        assert foggify_point(p, fog06, SensorModel(), table06, 0.5) == \
+            foggify_point(p, fog06, table06.sensor, table06, 0.5)
+
+    def test_overflowing_fog_return_rejected(self, sensor):
+        p = Point(30.0, 0.0, 0.0, 1.0)
+        for fog in (fog_from_alpha(0.06, beta=1e308), fog_from_alpha(0.06, beta_0=1e-320)):
+            with pytest.raises(ValueError, match="overflows.*beta=.*beta_0="):
+                foggify_point(p, fog, sensor, build_table(fog, sensor), 0.5)
 
 
 class TestFoggifyCloud:
@@ -357,12 +382,24 @@ class TestFoggifyCloud:
         assert out.cloud.intensity[1] == 50.0
 
     def test_table_sensor_mismatch_rejected(self, fog06, table06):
-        short_pulse = SensorModel(tau_h=10e-9)
         cloud = random_cloud(100, seed=22)
-        with pytest.raises(ValueError, match="another sensor"):
-            foggify_cloud(cloud, fog06, short_pulse, table=table06)
-        own = foggify_cloud(cloud, fog06, short_pulse, table=build_table(fog06, short_pulse))
-        assert own.stats.n_points == 100
+        for change in SENSOR_CHANGES:
+            other = dataclasses.replace(SensorModel(), **change)
+            with pytest.raises(ValueError, match="another sensor"):
+                foggify_cloud(cloud, fog06, other, table=table06)
+            own = foggify_cloud(cloud, fog06, other, table=build_table(fog06, other))
+            assert own.stats.n_points == 100
+        # an equal sensor built separately is the same sensor
+        assert foggify_cloud(cloud, fog06, SensorModel(), table=table06).stats.n_points == 100
+
+    def test_overflowing_fog_return_rejected(self, sensor):
+        # KITTI-style reflectance: every point's fog return overflows to inf
+        cloud = random_cloud(300, seed=25, scale=1.0)
+        for fog in (fog_from_alpha(0.06, beta=1e308), fog_from_alpha(0.06, beta_0=1e-320)):
+            table = build_table(fog, sensor)
+            for workers in (1, 2):
+                with pytest.raises(ValueError, match="overflows.*beta=.*beta_0="):
+                    foggify_cloud(cloud, fog, sensor, table=table, workers=workers)
 
     def test_nan_intensity_leaves_rescale_and_stats_finite(self, fog06, table06, sensor):
         cloud = random_cloud(1_000, seed=23)

@@ -428,16 +428,6 @@ class TestParamValidation:
         with pytest.raises(ValueError):
             FogParams(alpha=0.06, beta=0.0, beta_0=0.5)  # above 1/pi
 
-    def test_fog_mor_consistency(self):
-        FogParams(alpha=0.06, beta=0.0, mor=50.0)
-        FogParams(alpha=0.06, beta=0.0, mor=51.0)  # within 5%
-        with pytest.raises(ValueError):
-            FogParams(alpha=0.06, beta=0.0, mor=70.0)
-        FogParams(alpha=0.0, beta=0.0, mor=float("inf"))
-        for bad in (0.0, -5.0, np.nan):
-            with pytest.raises(ValueError):
-                FogParams(alpha=0.06, beta=0.0, mor=bad)
-
     def test_pulse_energy(self):
         for bad in (-1.0, np.nan, np.inf):
             with pytest.raises(ValueError):

@@ -17,9 +17,9 @@ from lidarfog import (
     query_soft_max,
     soft_response_integral,
 )
-from lidarfog import optics, tables
+from lidarfog import tables
 from lidarfog.optics import MAX_RANGE, RANGE_STEP
-from lidarfog.tables import _prefix_max_argmax, sensor_fingerprint
+from lidarfog.tables import _prefix_max_argmax
 
 from oracles import naive_running_max
 
@@ -96,7 +96,7 @@ class TestBuild:
         for table, fog in zip(build_tables(fogs, sensor), fogs):
             one = build_table(fog, sensor)
             assert table.alpha == fog.alpha
-            assert table.sensor_fingerprint == one.sensor_fingerprint
+            assert table.sensor == one.sensor == sensor
             for name in ("values", "prefix_max", "prefix_argmax"):
                 arr = getattr(table, name)
                 assert arr.tobytes() == getattr(one, name).tobytes()
@@ -156,7 +156,7 @@ class TestQuery:
         values = np.arange(1, 2001) * step
         pm, am = _prefix_max_argmax(values)
         fog = fog_from_alpha(0.06)
-        table = SoftResponseTable(fog.alpha, values, pm, am, sensor_fingerprint(sensor))
+        table = SoftResponseTable(fog.alpha, values, pm, am, sensor)
         monkeypatch.setattr(tables, "soft_response_integral", lambda r, *args: r)
         below = {"product": 0, "literal": 0}
         for k in range(1, 2001):
@@ -177,12 +177,3 @@ class TestQuery:
             fog = FogParams(alpha=alpha, beta=0.0)
             table = build_table(fog, sensor)
             assert query_soft_max(table, 150.0) == query_soft_max(table, 200.0)
-
-
-class TestCache:
-    def test_fingerprint_sensitive_to_sensor(self, monkeypatch):
-        a = sensor_fingerprint(SensorModel())
-        b = sensor_fingerprint(SensorModel(tau_h=10e-9))
-        monkeypatch.setattr(optics, "_SUBINTERVALS", 80)
-        c = sensor_fingerprint(SensorModel())
-        assert a != b and a != c

@@ -3,13 +3,17 @@
 The benchmark's tracer reaches lidarfog through the bindings listed in
 `perfbench/spans.py` (``TARGETS``); an API cut that drops one of them makes
 ``perfbench/run.py --trace 1`` fail while every other test passes.  The
-README's Python API example is run as written."""
+README's Python API example is run as written, and the names it documents
+are exported."""
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import numpy as np
+
+import lidarfog
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -45,3 +49,16 @@ def test_readme_python_example_runs(tmp_path, monkeypatch):
     out = np.fromfile(tmp_path / "scan_foggy.bin", dtype="<f4").reshape(-1, 4)
     assert out.shape == rows.shape
     assert out[:, 3].max() == 255.0
+
+
+def test_readme_lower_level_names_are_exported():
+    text = README_PATH.read_text(encoding="utf-8")
+    sentence = text.split("Lower-level pieces (", 1)[1].split(")", 1)[0]
+    names = re.findall(r"`(\w+)`", sentence)
+    assert len(names) >= 9
+    assert set(names) <= set(lidarfog.__all__), set(names) - set(lidarfog.__all__)
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in lidarfog.__all__ if not hasattr(lidarfog, name)]
+    assert not missing
