@@ -67,7 +67,13 @@ def _check_finite(rows: np.ndarray, path, allow_nonfinite: bool):
         )
 
 
-def _read_bin(path, allow_nonfinite: bool, columns: int) -> np.ndarray:
+def _read_bin(path, allow_nonfinite: bool, columns: int) -> PointCloud:
+    """The records of a binary file as a cloud.
+
+    The float32 records stay as read; the finite check runs on them, and
+    `xyz` and `intensity` are widened to float64 once, straight from their
+    float32 columns, so no float64 copy of the whole record array is made.
+    """
     record_bytes = 4 * columns
     size = os.path.getsize(path)
     if size % record_bytes != 0:
@@ -75,10 +81,9 @@ def _read_bin(path, allow_nonfinite: bool, columns: int) -> np.ndarray:
             f"{path}: size {size} is not a multiple of the {record_bytes}-byte record"
         )
     with open(path, "rb") as fh:
-        rows = np.fromfile(fh, dtype="<f4").reshape(-1, columns)
-    rows = rows[:, :4].astype(np.float64)
+        rows = np.fromfile(fh, dtype="<f4").reshape(-1, columns)[:, :4]
     _check_finite(rows, path, allow_nonfinite)
-    return rows
+    return PointCloud(rows[:, :3].astype(np.float64), rows[:, 3].astype(np.float64))
 
 
 _PLY_HEADER = """ply
@@ -178,20 +183,23 @@ def read_cloud(path, fmt: CloudFormat = CloudFormat(), allow_nonfinite: bool = F
     unless allow_nonfinite — NaN/inf values).
     """
     if fmt.kind == BIN_KIND:
-        rows = _read_bin(path, allow_nonfinite, fmt.columns)
-    else:
-        rows = _read_ply(path, allow_nonfinite)
+        return _read_bin(path, allow_nonfinite, fmt.columns)
+    rows = _read_ply(path, allow_nonfinite)
     return PointCloud(rows[:, :3], rows[:, 3])
 
 
 def write_cloud(cloud: PointCloud, path, fmt: CloudFormat = CloudFormat()) -> None:
     """Write a cloud atomically (temp file + rename).
 
-    Binary output narrows to float32 (the record format); reading it back
-    reproduces those records bit-exactly.  PLY text keeps six decimals,
-    good to 5e-7 absolute per coordinate.
+    Both formats first narrow the cloud to one float32 (n, 4) record array,
+    filled column by column with the cast of `astype`, so no float64 copy of
+    the cloud is made.  Binary output writes those records (reading them
+    back reproduces them bit-exactly).  PLY text keeps six decimals, good to
+    5e-7 absolute per coordinate.
     """
-    rows32 = np.column_stack((cloud.xyz, cloud.intensity)).astype("<f4")
+    rows32 = np.empty((len(cloud), 4), dtype="<f4")
+    rows32[:, :3] = cloud.xyz
+    rows32[:, 3] = cloud.intensity
     tmp = f"{path}.tmp{os.getpid()}"
     try:
         if fmt.kind == BIN_KIND:

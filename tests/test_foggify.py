@@ -458,6 +458,68 @@ class TestFoggifyCloud:
         assert thresholds[1] < thresholds[0]
 
 
+class TestCallerArraysUntouched:
+    """The transform reads the caller's arrays in place and writes only its
+    own outputs: inputs marked read-only go through, and keep their bytes."""
+
+    @staticmethod
+    def read_only_cloud():
+        cloud = random_cloud(3_000, seed=41, span=260.0)
+        cloud.xyz[::97] = 0.0
+        cloud.xyz[5::89, 1] = np.nan
+        cloud.xyz[3::71] = -0.0
+        cloud.intensity[7::83] = -1.0
+        cloud.intensity[9::101] = np.inf
+        cloud.intensity[11::103] = np.nan
+        cloud.xyz.setflags(write=False)
+        cloud.intensity.setflags(write=False)
+        return cloud
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_foggify_cloud(self, fog06, table06, sensor, monkeypatch, workers):
+        cloud = self.read_only_cloud()
+        before = cloud.xyz.tobytes(), cloud.intensity.tobytes()
+        writable = PointCloud(cloud.xyz.copy(), cloud.intensity.copy())
+        ref = foggify_cloud(writable, fog06, sensor, seed=6, table=table06, workers=1)
+        monkeypatch.setattr(foggify, "_BLOCK_SIZE", 999)
+        for rescale in (True, False):
+            out = foggify_cloud(cloud, fog06, sensor, seed=6, table=table06,
+                                workers=workers, rescale=rescale)
+            assert (cloud.xyz.tobytes(), cloud.intensity.tobytes()) == before
+            assert out.cloud.xyz.flags.writeable and out.cloud.intensity.flags.writeable
+        assert out.stats.n_skipped > 0 and out.stats.n_soft_replaced > 0
+        assert out.cloud.xyz.tobytes() == ref.cloud.xyz.tobytes()
+        assert out.provenance.tobytes() == ref.provenance.tobytes()
+
+    def test_foggify_point(self, fog06, table06, sensor):
+        cloud = self.read_only_cloud()
+        before = cloud.xyz.tobytes(), cloud.intensity.tobytes()
+        out = foggify_cloud(cloud, fog06, sensor, seed=6, rescale=False, table=table06)
+        draws = uniform01(6, np.arange(len(cloud)))
+        for i in range(0, len(cloud), 7):
+            p, tag = foggify_point(Point(*cloud.xyz[i], cloud.intensity[i]), fog06, sensor,
+                                   table06, draws[i])
+            assert tag == out.provenance[i]
+            got = np.array([p.x, p.y, p.z, p.intensity])
+            want = np.append(out.cloud.xyz[i], out.cloud.intensity[i])
+            assert got.tobytes() == want.tobytes(), i
+        assert (cloud.xyz.tobytes(), cloud.intensity.tobytes()) == before
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_overflow_leaves_inputs(self, sensor, monkeypatch, workers):
+        cloud = self.read_only_cloud()
+        before = cloud.xyz.tobytes(), cloud.intensity.tobytes()
+        fog = fog_from_alpha(0.06, beta=1e308)
+        table = build_table(fog, sensor)
+        monkeypatch.setattr(foggify, "_BLOCK_SIZE", 999)
+        with pytest.raises(ValueError, match="overflows"):
+            foggify_cloud(cloud, fog, sensor, table=table, workers=workers)
+        with pytest.raises(ValueError, match="overflows"):
+            foggify_point(Point(30.0, 40.0, 0.0, float(cloud.intensity[1])), fog, sensor,
+                          table, 0.5)
+        assert (cloud.xyz.tobytes(), cloud.intensity.tobytes()) == before
+
+
 class TestPointCloudType:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
