@@ -67,11 +67,15 @@ class Point:
 
 
 class PointCloud:
-    """Column store of points: xyz (n, 3) float64 and intensity (n,) float64."""
+    """Column store of points: xyz (n, 3) float64 and intensity (n,) float64.
+
+    Float64 arrays are kept as given, strided views included (a PLY read's
+    columns are views of one row array); other input is converted.
+    """
 
     def __init__(self, xyz, intensity):
-        xyz = np.ascontiguousarray(xyz, dtype=np.float64)
-        intensity = np.ascontiguousarray(intensity, dtype=np.float64)
+        xyz = np.asarray(xyz, dtype=np.float64)
+        intensity = np.asarray(intensity, dtype=np.float64)
         if xyz.ndim != 2 or xyz.shape[1] != 3:
             raise ValueError(f"xyz must have shape (n, 3), got {xyz.shape}")
         if intensity.shape != (xyz.shape[0],):

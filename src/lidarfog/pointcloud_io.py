@@ -4,8 +4,8 @@ Two formats: the headerless binary record layout used by KITTI-style
 datasets (consecutive little-endian float32 x, y, z, intensity) and a plain
 ASCII PLY with the same four properties.  Binary round-trips are bit-exact.
 PLY text is streamed both ways: the body is read by one `np.loadtxt` pass
-over the open file (a line-by-line parser takes over for bodies it rejects)
-and written in blocks of `_PLY_WRITE_ROWS` rows.
+over the open file, whose rows become the cloud, and written in blocks of
+`_PLY_WRITE_ROWS` rows.
 
 `intersect_returns` keeps the points of a strongest-return scan that have a
 counterpart in the last-return scan of the same sweep; everything a
@@ -126,66 +126,41 @@ def _read_ply_header(fh, path) -> int:
     return n
 
 
-def _parse_ply_lines(fh, n: int, path) -> np.ndarray:
-    """Line-by-line body parser, the fallback of `_loadtxt_body`: it takes
-    every spelling `float()` takes (`1_0`, which loadtxt rejects) and names
-    the bad line."""
-    body = [ln for ln in (raw.strip() for raw in fh) if ln]
-    if len(body) != n:
-        raise MalformedFileError(f"{path}: header declares {n} vertices, found {len(body)}")
-    rows = np.empty((n, 4), dtype=np.float64)
-    for i, ln in enumerate(body):
-        parts = ln.split()
-        if len(parts) != 4:
-            raise MalformedFileError(f"{path}: bad vertex line {i + 1}")
-        try:
-            rows[i] = [float(v) for v in parts]
-        except ValueError:
-            raise MalformedFileError(f"{path}: bad vertex line {i + 1}") from None
-    return rows
-
-
-def _loadtxt_body(fh, n: int):
-    """The body as (n, 4) rows from one `np.loadtxt` pass over the handle, or
-    None where loadtxt rejects it or finds another shape.  Both parse numbers
-    with the same C routine as `float()`, so accepted values have the same bits."""
-    start = fh.tell()
-    if not any(raw.strip() for raw in iter(fh.readline, "")):
-        return None  # loadtxt warns on a body without data
-    fh.seek(start)
-    try:
-        rows = np.loadtxt(fh, dtype=np.float64, comments=None, ndmin=2)
-    except ValueError:
-        return None
-    return rows if rows.shape == (n, 4) else None
-
-
-def _read_ply(path, allow_nonfinite: bool) -> np.ndarray:
+def _read_ply(path, allow_nonfinite: bool) -> PointCloud:
+    """The body of an ASCII ply file as a cloud, from one `np.loadtxt` pass
+    over the open file: `xyz` and `intensity` are views of its rows.  loadtxt
+    parses numbers with the same C routine as `float()`, so each value has
+    the bits `float()` gives its text."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             n = _read_ply_header(fh, path)
-            body_start = fh.tell()
-            rows = _loadtxt_body(fh, n)
-            if rows is None:
-                fh.seek(body_start)
-                rows = _parse_ply_lines(fh, n, path)
-    except UnicodeDecodeError:
+            start = fh.tell()
+            if any(raw.strip() for raw in iter(fh.readline, "")):
+                fh.seek(start)
+                rows = np.loadtxt(fh, dtype=np.float64, comments=None, ndmin=2)
+            else:
+                rows = np.empty((0, 4))  # loadtxt warns on a body without data
+    except UnicodeDecodeError:  # a ValueError subclass, so it is caught first
         raise MalformedFileError(f"{path}: not an ASCII ply file") from None
+    except ValueError as exc:
+        raise MalformedFileError(f"{path}: {exc}") from None
+    if rows.shape != (n, 4):
+        raise MalformedFileError(f"{path}: header declares {n} vertices of 4 values, "
+                                 f"found {rows.shape[0]} rows of {rows.shape[1]}")
     _check_finite(rows, path, allow_nonfinite)
-    return rows
+    return PointCloud(rows[:, :3], rows[:, 3])
 
 
 def read_cloud(path, fmt: CloudFormat = CloudFormat(), allow_nonfinite: bool = False) -> PointCloud:
     """Load a point cloud.
 
     Raises OSError for filesystem trouble and MalformedFileError for content
-    that breaks the format (partial trailing record, bad PLY header, and —
-    unless allow_nonfinite — NaN/inf values).
+    that breaks the format (partial trailing record, bad PLY header or body,
+    and — unless allow_nonfinite — NaN/inf values).
     """
     if fmt.kind == BIN_KIND:
         return _read_bin(path, allow_nonfinite, fmt.columns)
-    rows = _read_ply(path, allow_nonfinite)
-    return PointCloud(rows[:, :3], rows[:, 3])
+    return _read_ply(path, allow_nonfinite)
 
 
 def write_cloud(cloud: PointCloud, path, fmt: CloudFormat = CloudFormat()) -> None:

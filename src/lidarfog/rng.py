@@ -32,6 +32,8 @@ def uniform01(seed: int, index):
 
 
 def stable_key64(name: str) -> int:
-    """Stable 64-bit key for a string, for keying per-file draws."""
-    digest = hashlib.blake2b(name.encode("utf-8"), digest_size=8).digest()
+    """Stable 64-bit key for a string, for keying per-file draws.  A file
+    name that is not valid UTF-8 (surrogate escapes from `os.listdir`) is
+    keyed by its bytes."""
+    digest = hashlib.blake2b(name.encode("utf-8", "surrogateescape"), digest_size=8).digest()
     return int.from_bytes(digest, "little")

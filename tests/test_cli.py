@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -267,6 +268,28 @@ class TestSweep:
         assert set(manifest["files"]) == {"0000.bin", "0001.bin"}
         assert set(manifest["failures"]) == {"empty.bin"}
 
+    def test_name_not_utf8_is_processed(self, tmp_path):
+        # os.listdir gives the bad byte as a surrogate escape
+        bad = os.fsdecode(b"bad\xff.bin")
+        src = tmp_path / "in"
+        alone = tmp_path / "alone"
+        for d in (src, alone):
+            d.mkdir()
+            make_bin(d / "good.bin", n=200, seed=0)
+        make_bin(src / bad, n=200, seed=1)
+        for d, dst in ((src, tmp_path / "out"), (alone, tmp_path / "ref")):
+            assert main(["sweep", "--input-dir", str(d), "--output-dir", str(dst),
+                         "--seed", "3"]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert set(manifest["files"]) == {"good.bin", bad}
+        assert manifest["failures"] == {}
+        # its draw is keyed by the name's bytes on disk
+        key = int.from_bytes(hashlib.blake2b(b"bad\xff.bin", digest_size=8).digest(), "little")
+        assert manifest["files"][bad] == sample_alpha(DEFAULT_ALPHA_SCHEDULE, uniform01(3, key))
+        assert (tmp_path / "out" / bad).stat().st_size == (src / bad).stat().st_size
+        assert ((tmp_path / "out" / "good.bin").read_bytes()
+                == (tmp_path / "ref" / "good.bin").read_bytes())
+
     def test_invalid_schedule_exits_2_before_any_file(self, tmp_path):
         src = self._make_dir(tmp_path, n_files=3)
         dst = tmp_path / "out"
@@ -467,6 +490,8 @@ class TestIntersect:
                           + "1 2 3 4\n",
             "noformat.ply": _PLY_HEADER.format(n=1).replace("format ascii 1.0\n", "")
                             + "1 2 3 4\n",
+            "underscore.ply": _PLY_HEADER.format(n=1) + "1_0 2 3 4\n",
+            "threecol.ply": _PLY_HEADER.format(n=1) + "1 2 3\n",
         }.items():
             bad = tmp_path / name
             bad.write_bytes(content.encode("latin-1"))
