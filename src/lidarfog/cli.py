@@ -270,13 +270,17 @@ def cmd_response(args) -> int:
 
 
 def cmd_intersect(args) -> int:
+    if not args.tolerance >= 0:  # NaN included
+        raise ValueError(f"--tolerance must be >= 0, got {args.tolerance}")
     fmt = _fmt_from_args(args)
     strongest = read_cloud(args.strongest, fmt, allow_nonfinite=args.allow_nonfinite)
     last = read_cloud(args.last, fmt, allow_nonfinite=args.allow_nonfinite)
     kept = intersect_returns(strongest, last, tol=args.tolerance)
+    total = len(strongest)
+    del strongest, last  # the write holds the kept points alone
     write_cloud(kept, args.output, fmt)
-    frac = len(kept) / len(strongest) if len(strongest) else 0.0
-    print(f"{len(kept)}/{len(strongest)} points retained ({frac:.4f})")
+    frac = len(kept) / total if total else 0.0
+    print(f"{len(kept)}/{total} points retained ({frac:.4f})")
     return 0
 
 

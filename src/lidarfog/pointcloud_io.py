@@ -10,10 +10,12 @@ over the open file, whose rows become the cloud, and written in blocks of
 `intersect_returns` keeps the points of a strongest-return scan that have a
 counterpart in the last-return scan of the same sweep; everything a
 dual-mode sensor reports in only one of the two echoes is scattering noise,
-not a solid object.  It is a numpy cell-hash join: both scans are hashed
-into a grid of cells at least `tol` wide, each strongest point is checked
-against the last-return points of its own cell, and only the points still
-unmatched look in the 26 neighbouring cells.
+not a solid object.  It is a numpy cell-hash join on a grid of cells at
+least twice `tol` wide.  The last-return scan is hashed, sorted and copied
+once; the strongest scan is walked in blocks of `_CHUNK_ROWS` rows.  Each
+strongest point is checked against the last-return points of its own cell,
+and only the points still unmatched look in the 7 neighbouring cells that
+touch the octant of their cell they lie in.
 """
 
 import itertools
@@ -199,15 +201,74 @@ def write_cloud(cloud: PointCloud, path, fmt: CloudFormat = CloudFormat()) -> No
 # two cells that share a key only add candidates, which the distance rule drops
 _CELL_HASH = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9],
                       dtype=np.uint64)
-# key offsets of the 27 cells around a cell, its own first (the hash is linear)
-_NEIGHBOUR_SHIFTS = (np.array(list(itertools.product((0, -1, 1), repeat=3)),
-                              dtype=np.int64).view(np.uint64) * _CELL_HASH).sum(axis=1)
+# the 7 cells beside a cell on one chosen side of each axis, as 0/1 steps per
+# axis: the 3 across a face first, then the 3 across an edge, then the corner
+_NEAR_CELLS = np.array(sorted(itertools.product((0, 1), repeat=3), key=sum)[1:],
+                       dtype=np.uint64)
 _PAIR_BUDGET = 1 << 18  # candidate pairs checked per numpy pass: bounds the join's memory
+_CHUNK_ROWS = 1 << 13  # strongest rows joined per pass: bounds the join's working set
 
 
-def _cell_keys(xyz: np.ndarray, inv_side: float) -> np.ndarray:
-    cells = np.floor(xyz * inv_side).astype(np.int64).view(np.uint64)
-    return cells[:, 0] * _CELL_HASH[0] + cells[:, 1] * _CELL_HASH[1] + cells[:, 2] * _CELL_HASH[2]
+def _cell_scale(tol2: float, extent: float) -> float:
+    """Cells per metre of the join's grid, given an `extent` that bounds
+    every finite |coordinate| of both scans.
+
+    `reach` bounds |dx|, |dy| and |dz| of any pair the rule keeps, underflow
+    of the squares included.  Cells are at least 2 * reach wide, so reach *
+    scale is at most (1 - 2**-10) / 2, to within one rounding.  The extent
+    floor keeps every |x * scale| below 2**40, where rounding the product
+    errs by at most 2**-14.  So on each axis the computed cell units
+    u = x * scale of a kept pair differ by
+    |u_p - u_b| <= (1 - 2**-10) / 2 + 2**-54 + 2 * 2**-14 < 1/2.
+    With f = floor(u_p), u_p - f >= 1/2 then gives f < u_b < f + 3/2 (cell f
+    or f + 1), and u_p - f < 1/2 gives f - 1/2 < u_b < f + 1 (cell f - 1 or
+    f): the partner lies in the point's own cell or in one of the 7 cells on
+    its near side, the side of the half of its cell it lies in on each axis.
+    With tol*tol = inf every point falls in cell 0.
+    """
+    reach = math.sqrt(tol2 + math.ulp(0.0)) * (1.0 + 2.0 ** -30)
+    return (1.0 - 2.0 ** -10) / max(2.0 * reach, extent * 2.0 ** -40)
+
+
+def _finite_blocks(xyz: np.ndarray):
+    """Row numbers and rows of the finite points of each `_CHUNK_ROWS` block."""
+    for lo in range(0, len(xyz), _CHUNK_ROWS):
+        block = xyz[lo:lo + _CHUNK_ROWS]
+        keep = np.flatnonzero(np.isfinite(block).all(axis=1))
+        yield lo + keep, block[keep]
+
+
+def _extent(xyz: np.ndarray):
+    """Largest |coordinate| of the finite points; None when there are none."""
+    return max((float(np.abs(p).max()) for _, p in _finite_blocks(xyz) if len(p)),
+               default=None)
+
+
+def _cells(xyz: np.ndarray, scale: float):
+    """The cell key of each row, and per axis whether the row lies in the
+    upper half of its cell: u - floor(u) is exact whenever it is below 1/2,
+    so the half is that of the computed u."""
+    u = xyz * scale
+    cells = np.floor(u)
+    upper = u - cells >= 0.5
+    cells = cells.astype(np.int64).view(np.uint64)
+    keys = cells[:, 0] * _CELL_HASH[0] + cells[:, 1] * _CELL_HASH[1] + cells[:, 2] * _CELL_HASH[2]
+    return keys, upper
+
+
+def _sorted_cells(b: np.ndarray, scale: float):
+    """The finite rows of `b`, gathered once in cell-key order, with their
+    distinct keys and run bounds: rows starts[i]:starts[i + 1] lie in keys[i]."""
+    rows = np.flatnonzero(np.isfinite(b).all(axis=1))
+    keys = np.empty(len(rows), dtype=np.uint64)
+    for lo in range(0, len(rows), _CHUNK_ROWS):
+        keys[lo:lo + _CHUNK_ROWS] = _cells(b[rows[lo:lo + _CHUNK_ROWS]], scale)[0]
+    order = np.argsort(keys)
+    rows, keys = rows[order], keys[order]
+    del order
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1], True])
+    keys = keys[starts[:-1]]
+    return keys, starts, b[rows]
 
 
 def _any_within(p: np.ndarray, q: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -222,49 +283,51 @@ def _any_within(p: np.ndarray, q: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     while live.size:
         take = np.minimum(hi[live] - lo[live], max(1, _PAIR_BUDGET // live.size))
         owner = np.repeat(live, take)
-        ends = np.cumsum(take)
-        j = np.arange(ends[-1]) + np.repeat(lo[live] - (ends - take), take)
-        d = p[owner] - q[j]
-        found[owner[d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2] <= tol2]] = True
+        j = np.arange(len(owner)) + np.repeat(lo[live] - (np.cumsum(take) - take), take)
+        d = p[owner]
+        d -= q[j]
+        d *= d
+        found[owner[d[:, 0] + d[:, 1] + d[:, 2] <= tol2]] = True
         lo[live] += take
         live = live[~found[live] & (lo[live] < hi[live])]
     return found
 
 
+def _runs(keys: np.ndarray, starts: np.ndarray, key: np.ndarray):
+    """Bounds lo, hi of the sorted last-scan rows in cell `key`, for each key."""
+    i = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+    lo = starts[i]
+    return lo, np.where(keys[i] == key, starts[i + 1], lo)
+
+
 def _match_mask(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
-    """Rows of `a` with a row of `b` such that dx*dx + dy*dy + dz*dz <= tol*tol."""
+    """Rows of `a` with a row of `b` such that dx*dx + dy*dy + dz*dz <= tol*tol.
+
+    `b` is held once, as its finite rows in cell-key order; `a` is joined in
+    place, `_CHUNK_ROWS` rows at a time, each block writing its slice of the
+    mask.  Non-finite points match nothing.
+    """
     mask = np.zeros(len(a), dtype=bool)
-    b = b[np.isfinite(b).all(axis=1)]
-    rows = np.flatnonzero(np.isfinite(a).all(axis=1))  # non-finite points match nothing
-    if len(b) == 0 or len(rows) == 0:
+    extents = (_extent(a), _extent(b))
+    if None in extents:
         return mask
     tol2 = tol * tol
-    a = a[rows]
-    # `reach` bounds |dx|, |dy| and |dz| of any pair the rule keeps, underflow of
-    # the squares included.  A cell a little wider than `reach` puts such pairs
-    # in the same or adjacent cells; the extent floor keeps cell indices below
-    # 2**40, where rounding `xyz * inv_side` moves an index by far less than the
-    # 2**-10 slack.  With tol*tol = inf every point falls in cell 0.
-    reach = math.sqrt(tol2 + math.ulp(0.0)) * (1.0 + 2.0 ** -30)
-    extent = max(float(np.abs(a).max()), float(np.abs(b).max()))
-    inv_side = (1.0 - 2.0 ** -10) / max(reach, extent * 2.0 ** -40)
-    ka = _cell_keys(a, inv_side)
-    kb = _cell_keys(b, inv_side)
-    order = np.argsort(ka)  # sorted search keys make the binary searches cache-friendly
-    ka, a, rows = ka[order], a[order], rows[order]
-    order = np.argsort(kb)
-    kb, b = kb[order], b[order]
-    hit = np.zeros(len(a), dtype=bool)
-    todo = np.arange(len(a))
-    for shift in _NEIGHBOUR_SHIFTS:
-        key = ka[todo] + shift
-        lo = np.searchsorted(kb, key, side="left")
-        hi = np.searchsorted(kb, key, side="right")
-        hit[todo] = _any_within(a[todo], b, lo, hi, tol2)
-        todo = todo[~hit[todo]]
-        if not todo.size:
-            break
-    mask[rows] = hit
+    scale = _cell_scale(tol2, max(extents))
+    keys, starts, b = _sorted_cells(b, scale)
+    for rows, p in _finite_blocks(a):
+        key, upper = _cells(p, scale)
+        order = np.argsort(key)  # sorted search keys make the binary searches cache-friendly
+        key, upper, p, rows = key[order], upper[order], p[order], rows[order]
+        hit = _any_within(p, b, *_runs(keys, starts, key), tol2)
+        todo = np.flatnonzero(~hit)
+        for steps in _NEAR_CELLS:
+            if not todo.size:
+                break
+            # the key steps to the neighbouring cells on the near sides
+            near = np.where(upper[todo], _CELL_HASH, -_CELL_HASH) @ steps
+            hit[todo] = _any_within(p[todo], b, *_runs(keys, starts, key[todo] + near), tol2)
+            todo = todo[~hit[todo]]
+        mask[rows[hit]] = True
     return mask
 
 

@@ -479,6 +479,17 @@ class TestIntersect:
         assert out.read_bytes() == b""
         assert "0/0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_bad_tolerance_exits_2_before_any_read(self, tmp_path, cloud_file, capsys, tol):
+        # were a file read before the check, the missing one would exit 1
+        missing = tmp_path / "missing.bin"
+        for pair in ((cloud_file, missing), (missing, cloud_file)):
+            rc = main(["intersect", *map(str, pair), "--output", str(tmp_path / "o.bin"),
+                       "--tolerance", tol])
+            assert rc == 2
+            assert "--tolerance must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "o.bin").exists()
+
     def test_malformed_ply_exits_1_and_names_file(self, tmp_path, capsys):
         good = tmp_path / "good.ply"
         good.write_text(_PLY_HEADER.format(n=1) + "1 2 3 4\n")

@@ -19,6 +19,7 @@ from lidarfog import (
     read_cloud,
     write_cloud,
 )
+from lidarfog import pointcloud_io
 from lidarfog.cli import main
 from lidarfog.pointcloud_io import _PLY_HEADER, _PLY_WRITE_ROWS
 
@@ -99,6 +100,37 @@ def f32_cloud(n, seed=0, span=100.0):
     xyz = rng.uniform(-span, span, (n, 3)).astype(np.float32).astype(np.float64)
     inten = rng.uniform(0, 255, n).astype(np.float32).astype(np.float64)
     return PointCloud(xyz, inten)
+
+
+def cell_edge_pairs(tol, n, seed, cells):
+    """`n` strongest points on the join's cell grid decision points, each
+    with a last point `tol` or the next double beyond it away, toward a face,
+    an edge or a corner of the point's cell or away from it.
+
+    On each axis a coordinate x puts its computed cell units u = x * scale on
+    a cell face f or midpoint f + 1/2, for f in `cells`, where some double
+    does, or just below or just above it.  Few cells give long runs of points
+    in one cell; many cells leave most points no partner but their own.  From
+    a face, a partner lies across it in the face's half of the cell, the near
+    side; from a midpoint, a partner within tol stays in the cell, and would
+    lie across the far face of narrower cells.  A partner along one axis is
+    exactly that far away unless p +/- tol rounds.
+    """
+    # cells 2 * tol wide: the extent floor is far below that for |x| < 1e6 * tol
+    scale = pointcloud_io._cell_scale(tol * tol, 0.0)
+    xs = []
+    for t in np.ravel([(f, f + 0.5) for f in cells]):
+        x = t / scale
+        cand = x + np.arange(-32, 33) * np.spacing(x)
+        u = cand * scale
+        xs += [cand[u < t].max(), *cand[u == t], cand[u > t].min()]
+    rng = np.random.default_rng(seed)
+    strongest = rng.choice(xs, (n, 3))
+    # unit steps along one, two or three axes: (1, 0, 0), (3, 4, 0) / 5, (2, 3, 6) / 7
+    steps = np.array([[1.0, 0.0, 0.0], [0.6, 0.8, 0.0], [2 / 7, 3 / 7, 6 / 7]])
+    steps = rng.permuted(steps[rng.integers(0, 3, n)], axis=1) * rng.choice([-1.0, 1.0], (n, 3))
+    length = rng.choice([tol, np.nextafter(tol, np.inf)], (n, 1))
+    return strongest, strongest + steps * length
 
 
 class TestBinFormat:
@@ -313,14 +345,22 @@ class TestIntersect:
         mask = brute_force_match_mask(strongest.xyz, last.xyz, 1e-3)
         assert np.array_equal(mask, [True, False])
 
-    def test_matches_brute_force(self):
+    def test_matches_brute_force(self, monkeypatch):
         rng = np.random.default_rng(5)
         strongest = PointCloud(rng.uniform(0, 10, (200, 3)), rng.uniform(0, 1, 200))
         last = PointCloud(rng.uniform(0, 10, (200, 3)), rng.uniform(0, 1, 200))
-        for tol in (0.1, 0.5, 1.0):
-            kept = intersect_returns(strongest, last, tol=tol)
-            mask = brute_force_match_mask(strongest.xyz, last.xyz, tol)
-            assert np.array_equal(kept.xyz, strongest.xyz[mask])
+        edges = [(*cell_edge_pairs(tol, 400, seed, cells), tol)
+                 for seed, tol, cells in ((12, 0.125, (-3, 0, 2)), (13, 0.5, range(-90, 90, 3)))]
+        cases = [(strongest.xyz, last.xyz, tol) for tol in (0.1, 0.5, 1.0)] + edges
+        masks = [brute_force_match_mask(a, b, tol) for a, b, tol in cases]
+        assert all(0 < np.count_nonzero(mask) < len(mask) for mask in masks[-len(edges):])
+        # blocks of 1 and 7 rows split runs of strongest points in one cell
+        for chunk in (1, 7, pointcloud_io._CHUNK_ROWS):
+            monkeypatch.setattr(pointcloud_io, "_CHUNK_ROWS", chunk)
+            for (a, b, tol), mask in zip(cases, masks):
+                kept = intersect_returns(PointCloud(a, np.arange(len(a), dtype=float)),
+                                         PointCloud(b, np.zeros(len(b))), tol=tol)
+                assert np.array_equal(kept.intensity, np.flatnonzero(mask)), (tol, chunk)
 
     def test_subset_and_order_preserved(self):
         rng = np.random.default_rng(6)
@@ -380,8 +420,12 @@ class TestIntersect:
         u /= np.linalg.norm(u, axis=1)[:, None]
         offset = tol * (1.0 + rng.integers(-8, 9, n) * 1e-16)
         strongest_xyz = last_xyz[rng.integers(0, 100, n)] + u * offset[:, None]
+        edge_strongest, edge_last = cell_edge_pairs(tol, 600, 14, range(-50, 50))
+        strongest_xyz = np.concatenate([strongest_xyz, edge_strongest])
+        last_xyz = np.concatenate([last_xyz, edge_last])
+        n += 600
         kept = intersect_returns(PointCloud(strongest_xyz, np.arange(float(n))),
-                                 PointCloud(last_xyz, np.zeros(100)), tol=tol)
+                                 PointCloud(last_xyz, np.zeros(len(last_xyz))), tol=tol)
         ball = cKDTree(last_xyz).query_ball_point(strongest_xyz, r=tol, return_length=True) > 0
         assert np.array_equal(kept.intensity, np.flatnonzero(ball))
         assert np.array_equal(brute_force_match_mask(strongest_xyz, last_xyz, tol), ball)

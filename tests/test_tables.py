@@ -16,6 +16,7 @@ from lidarfog import (
     fog_from_alpha,
     foggify_cloud,
     foggify_point,
+    intersect_returns,
     naive_soft_max,
     query_soft_max,
     read_cloud,
@@ -23,6 +24,7 @@ from lidarfog import (
     write_cloud,
 )
 from lidarfog import tables
+from lidarfog.cli import main
 from lidarfog.optics import MAX_RANGE, RANGE_STEP
 from lidarfog.tables import _prefix_max_argmax
 
@@ -168,6 +170,34 @@ class TestCloudPeakMemory:
         peak = traced_peak(lambda: read_cloud(path, CloudFormat("ply")))
         # loadtxt's float64 rows (C), whose columns the cloud keeps as views
         assert peak < 1.4 * 32 * self.N
+
+    # the dual-return join: the last scan's finite rows in cell-key order (C * 3/4),
+    # its distinct keys and run bounds (C / 4 each at most), the mask and the
+    # work arrays of one block of strongest rows
+    JOIN_BUDGET = 2 * 32 * N
+
+    @pytest.fixture(scope="class")
+    def jittered(self, cloud):
+        # within 7e-4 of its partner, and across a 2 mm cell face from it on some
+        # axis for about one point in four, so the near-cell probes run
+        rng = np.random.default_rng(62)
+        return PointCloud(cloud.xyz + rng.uniform(-4e-4, 4e-4, (self.N, 3)), cloud.intensity)
+
+    def test_intersect_holds_last_scan_once(self, cloud, jittered):
+        peak = traced_peak(lambda: intersect_returns(jittered, cloud, tol=1e-3))
+        # a join that hashed, sorted and copied both whole scans peaked at 5.75 C
+        assert peak < self.JOIN_BUDGET
+
+    def test_intersect_command_holds_two_clouds_and_the_join(self, cloud, jittered, tmp_path):
+        paths = [tmp_path / "strongest.ply", tmp_path / "last.ply"]
+        write_cloud(jittered, paths[0], CloudFormat("ply"))
+        write_cloud(cloud, paths[1], CloudFormat("ply"))
+        argv = ["intersect", *map(str, paths), "--format", "ply",
+                "--output", str(tmp_path / "kept.ply")]
+        peak = traced_peak(lambda: main(argv))
+        # both clouds (2 C) and the join; the same command peaked at 7.8 C with
+        # the join that copied both whole scans
+        assert peak < 2 * 32 * self.N + self.JOIN_BUDGET
 
 
 class TestPrefixHelper:
