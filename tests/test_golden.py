@@ -51,6 +51,15 @@ EDGE_ROWS = np.array([
     [*AT_4_3_M, 0.6],
 ], dtype="<f4")
 
+# values no 53-bit integer count of millionths holds, which the PLY writer
+# formats on its own path: a 1e10 coordinate (beyond the table, so written as
+# read) and an infinite intensity
+WIDE_ROWS = np.array([
+    [1e10, 0.0, 0.0, 0.5],
+    [10.0, 0.0, 0.0, np.inf],
+    [-1e10, 3.0, -0.0, 0.2],
+], dtype="<f4")
+
 
 def ring_scan(rng, rings=16, azimuths=160):
     """A KITTI-style scan: float32 x, y, z and reflectance in [0, 1].
@@ -197,6 +206,18 @@ def compute_digests(root: Path) -> dict:
             out = f"response_{len(cases)}.csv"
             code, stdout = run.main(["response", "--output", out, *flags])
             cases[f"response/{name}"] = run.digest(code, stdout, [out])
+
+        # four copies of a scan fill more than one 8192-row PLY block, so the
+        # file's first block holds ordinary rows only and its last the WIDE_ROWS
+        rows = np.fromfile(root / "clear" / "scan_1.bin", dtype="<f4").reshape(-1, 4)
+        (root / "wide").mkdir()
+        write_ply(np.concatenate([rows] * 4 + [WIDE_ROWS]), root / "wide" / "scan_1.ply")
+        out = "out.ply"
+        code, stdout = run.main(["simulate", "--input", "wide/scan_1.ply", "--output", out,
+                                 "--format", "ply", "--alpha", "0.02", "--seed",
+                                 str(SIMULATE_SEED), "--allow-nonfinite"])
+        assert code == 0
+        cases["simulate/ply/wide-values"] = run.digest(code, stdout, [out])
     finally:
         os.chdir(cwd)
     return cases
