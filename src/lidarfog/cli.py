@@ -19,7 +19,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -176,6 +175,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    # the file threads are this command's alone; only it pays for the import
+    from concurrent.futures import ThreadPoolExecutor
+
     sensor = _sensor_from_args(args)
     fmt = _fmt_from_args(args)
     workers = _workers_from_args(args) or os.cpu_count() or 1

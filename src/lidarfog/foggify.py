@@ -15,7 +15,6 @@ worker count or point order.
 import math
 import numbers
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Optional, Sequence
@@ -324,6 +323,10 @@ def foggify_cloud(
     if workers <= 1 or len(blocks) == 1:
         n_skipped = sum(run_block(lo, hi) for lo, hi in blocks)
     else:
+        # imported where threads start: it pulls in logging, which a
+        # one-block or one-worker call never needs
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             n_skipped = sum(pool.map(lambda b: run_block(*b), blocks))
 

@@ -99,6 +99,11 @@ end_header
 """
 _PLY_ROW = "%.6f %.6f %.6f %.6f\n"
 _PLY_WRITE_ROWS = 8192  # rows formatted per write: bounds the text held at once
+# numpy lays each value's text right-aligned in a row of _PLY_FIELD bytes: a
+# sign and 10 integer digits, the point at column _PLY_POINT, 6 decimals and
+# the separator
+_PLY_FIELD = 19
+_PLY_POINT = 11
 
 
 def _read_ply_header(fh, path) -> int:
@@ -128,24 +133,53 @@ def _read_ply_header(fh, path) -> int:
     return n
 
 
+def _is_number(token: str) -> bool:
+    """Whether loadtxt reads `token`: as `float()` does, but not 1_0."""
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return "_" not in token
+
+
+def _first_bad_line(fh):
+    """`line L: ...` for the first body line of `fh` that is not 4 numbers,
+    L counted from the file's first line; None when every line is."""
+    fh.seek(0)
+    lines = enumerate(fh, 1)
+    for _, raw in lines:
+        if raw.strip() == "end_header":
+            break
+    for lineno, raw in lines:
+        parts = raw.split()
+        if parts and len(parts) != 4:
+            return f"line {lineno}: {len(parts)} values, expected 4"
+        bad = next((token for token in parts if not _is_number(token)), None)
+        if bad is not None:
+            return f"line {lineno}: {bad!r} is not a number"
+    return None
+
+
 def _read_ply(path, allow_nonfinite: bool) -> PointCloud:
     """The body of an ASCII ply file as a cloud, from one `np.loadtxt` pass
     over the open file: `xyz` and `intensity` are views of its rows.  loadtxt
     parses numbers with the same C routine as `float()`, so each value has
-    the bits `float()` gives its text."""
+    the bits `float()` gives its text.  When loadtxt fails, the body is read
+    again to name the first line that is not 4 numbers."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             n = _read_ply_header(fh, path)
             start = fh.tell()
             if any(raw.strip() for raw in iter(fh.readline, "")):
                 fh.seek(start)
-                rows = np.loadtxt(fh, dtype=np.float64, comments=None, ndmin=2)
+                try:
+                    rows = np.loadtxt(fh, dtype=np.float64, comments=None, ndmin=2)
+                except ValueError as exc:
+                    raise MalformedFileError(f"{path}: {_first_bad_line(fh) or exc}") from None
             else:
                 rows = np.empty((0, 4))  # loadtxt warns on a body without data
-    except UnicodeDecodeError:  # a ValueError subclass, so it is caught first
+    except UnicodeDecodeError:
         raise MalformedFileError(f"{path}: not an ASCII ply file") from None
-    except ValueError as exc:
-        raise MalformedFileError(f"{path}: {exc}") from None
     if rows.shape != (n, 4):
         raise MalformedFileError(f"{path}: header declares {n} vertices of 4 values, "
                                  f"found {rows.shape[0]} rows of {rows.shape[1]}")
@@ -165,6 +199,49 @@ def read_cloud(path, fmt: CloudFormat = CloudFormat(), allow_nonfinite: bool = F
     return _read_ply(path, allow_nonfinite)
 
 
+def _ply_text(block: np.ndarray):
+    """The `_PLY_ROW` text of the float32 rows of `block`, as a uint8 array;
+    None when a value is NaN, infinite or of magnitude 2**53 / 1e6 or more.
+
+    A float32 widened to float64 times 1e6 is exact (24 + 14 significant
+    bits), so its rint rounds half to even as %.6f does, and below 2**53 it
+    is an exact integer count of millionths.  Its digits, the point, the
+    sign (from signbit, so -0.0 gives -0.000000) and the separator fill one
+    `_PLY_FIELD`-byte row per value, whose unused leading bytes are dropped.
+    """
+    values = block.astype(np.float64).ravel()
+    micro = np.abs(values)
+    micro *= 1e6
+    np.rint(micro, out=micro)
+    if not (micro < 2.0 ** 53).all():  # NaN fails it too
+        return None
+    micro = micro.astype(np.uint64)
+    whole = micro // 1000000
+    decimals = (micro - whole * 1000000).astype(np.uint32)
+    field = np.empty((len(values), _PLY_FIELD), dtype=np.uint8)
+    for col in range(_PLY_POINT + 6, _PLY_POINT, -1):
+        rest = decimals // 10
+        field[:, col] = decimals - rest * 10
+        decimals = rest
+    digits = len(str(int(whole.max())))  # integer digits of the widest value
+    width = np.ones(len(values), dtype=np.uint8)  # integer digits of each value
+    for col in range(_PLY_POINT - 1, _PLY_POINT - 1 - digits, -1):
+        rest = whole // 10
+        field[:, col] = whole - rest * 10
+        width += rest > 0
+        whole = rest
+    field += ord("0")
+    field[:, _PLY_POINT] = ord(".")
+    field[:, -1] = ord(" ")
+    field[3::4, -1] = ord("\n")
+    neg = np.signbit(values)
+    start = _PLY_POINT - width - neg  # the column of each value's first byte
+    signs = np.flatnonzero(neg)
+    field.reshape(-1)[signs * _PLY_FIELD + start[signs]] = ord("-")
+    lo = _PLY_POINT - 1 - digits  # no value's text starts before this column
+    return field[:, lo:][np.arange(lo, _PLY_FIELD, dtype=np.uint8) >= start[:, None]]
+
+
 def write_cloud(cloud: PointCloud, path, fmt: CloudFormat = CloudFormat()) -> None:
     """Write a cloud atomically (temp file + rename).
 
@@ -172,7 +249,9 @@ def write_cloud(cloud: PointCloud, path, fmt: CloudFormat = CloudFormat()) -> No
     filled column by column with the cast of `astype`, so no float64 copy of
     the cloud is made.  Binary output writes those records (reading them
     back reproduces them bit-exactly).  PLY text keeps six decimals, good to
-    5e-7 absolute per coordinate.
+    5e-7 absolute per coordinate: each block of `_PLY_WRITE_ROWS` rows is
+    formatted by numpy (`_ply_text`), or with Python's %.6f when it holds a
+    value numpy cannot format exactly.
     """
     rows32 = np.empty((len(cloud), 4), dtype="<f4")
     rows32[:, :3] = cloud.xyz
@@ -183,13 +262,16 @@ def write_cloud(cloud: PointCloud, path, fmt: CloudFormat = CloudFormat()) -> No
             with open(tmp, "wb") as fh:
                 rows32.tofile(fh)
         else:
-            with open(tmp, "w", encoding="ascii") as fh:
-                fh.write(_PLY_HEADER.format(n=len(cloud)))
-                # %.6f of a float32 widened to a Python float is the text of
-                # f"{np.float32(x):.6f}", nan, inf and -0.0 included
+            with open(tmp, "wb") as fh:
+                fh.write(_PLY_HEADER.format(n=len(cloud)).encode("ascii"))
                 for lo in range(0, len(rows32), _PLY_WRITE_ROWS):
                     block = rows32[lo:lo + _PLY_WRITE_ROWS]
-                    fh.write((_PLY_ROW * len(block)) % tuple(block.ravel().tolist()))
+                    text = _ply_text(block)
+                    if text is None:
+                        # %.6f of a float32 widened to a Python float is the text
+                        # of f"{np.float32(x):.6f}", nan, inf and -0.0 included
+                        text = ((_PLY_ROW * len(block)) % tuple(block.ravel().tolist())).encode("ascii")
+                    fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -205,7 +287,7 @@ _CELL_HASH = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F
 # axis: the 3 across a face first, then the 3 across an edge, then the corner
 _NEAR_CELLS = np.array(sorted(itertools.product((0, 1), repeat=3), key=sum)[1:],
                        dtype=np.uint64)
-_PAIR_BUDGET = 1 << 18  # candidate pairs checked per numpy pass: bounds the join's memory
+_PAIR_BUDGET = 1 << 16  # candidate pairs checked per numpy pass: bounds the join's memory
 _CHUNK_ROWS = 1 << 13  # strongest rows joined per pass: bounds the join's working set
 
 
@@ -230,11 +312,19 @@ def _cell_scale(tol2: float, extent: float) -> float:
     return (1.0 - 2.0 ** -10) / max(2.0 * reach, extent * 2.0 ** -40)
 
 
+def _finite_rows(xyz: np.ndarray) -> np.ndarray:
+    """Whether each row's x, y and z are finite, built column by column."""
+    finite = np.isfinite(xyz[:, 0])
+    finite &= np.isfinite(xyz[:, 1])
+    finite &= np.isfinite(xyz[:, 2])
+    return finite
+
+
 def _finite_blocks(xyz: np.ndarray):
     """Row numbers and rows of the finite points of each `_CHUNK_ROWS` block."""
     for lo in range(0, len(xyz), _CHUNK_ROWS):
         block = xyz[lo:lo + _CHUNK_ROWS]
-        keep = np.flatnonzero(np.isfinite(block).all(axis=1))
+        keep = np.flatnonzero(_finite_rows(block))
         yield lo + keep, block[keep]
 
 
@@ -259,7 +349,7 @@ def _cells(xyz: np.ndarray, scale: float):
 def _sorted_cells(b: np.ndarray, scale: float):
     """The finite rows of `b`, gathered once in cell-key order, with their
     distinct keys and run bounds: rows starts[i]:starts[i + 1] lie in keys[i]."""
-    rows = np.flatnonzero(np.isfinite(b).all(axis=1))
+    rows = np.flatnonzero(_finite_rows(b))
     keys = np.empty(len(rows), dtype=np.uint64)
     for lo in range(0, len(rows), _CHUNK_ROWS):
         keys[lo:lo + _CHUNK_ROWS] = _cells(b[rows[lo:lo + _CHUNK_ROWS]], scale)[0]

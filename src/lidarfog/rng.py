@@ -5,8 +5,6 @@ the same draw no matter how the work is ordered or split across workers.
 The mixer is splitmix64; floats take the top 53 bits of the hash.
 """
 
-import hashlib
-
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -34,6 +32,9 @@ def uniform01(seed: int, index):
 def stable_key64(name: str) -> int:
     """Stable 64-bit key for a string, for keying per-file draws.  A file
     name that is not valid UTF-8 (surrogate escapes from `os.listdir`) is
-    keyed by its bytes."""
+    keyed by its bytes.  hashlib is imported here, by `sweep` alone: it maps
+    OpenSSL, about 3.6 MB that no other command needs."""
+    import hashlib
+
     digest = hashlib.blake2b(name.encode("utf-8", "surrogateescape"), digest_size=8).digest()
     return int.from_bytes(digest, "little")

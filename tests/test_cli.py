@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 import time
 
 import numpy as np
@@ -585,3 +586,30 @@ class TestImports:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert "100/200" in proc.stdout
+
+    def test_only_sweep_loads_hashlib_and_thread_pools(self, tmp_path):
+        # hashlib maps OpenSSL (~3.6 MB) to key sweep's files, and
+        # concurrent.futures brings logging; the other commands need neither
+        (tmp_path / "in").mkdir()
+        rows = make_bin(tmp_path / "in" / "scan.bin", n=200, seed=4)
+        (tmp_path / "last.bin").write_bytes(rows[::2].tobytes())
+        src = os.path.dirname(os.path.dirname(lidarfog.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = textwrap.dedent("""
+            import sys
+            from lidarfog.cli import main
+
+            def loaded():
+                return [m for m in ("hashlib", "concurrent.futures") if m in sys.modules]
+
+            assert loaded() == [], ("import", loaded())
+            assert main(["intersect", "in/scan.bin", "last.bin", "--output", "kept.bin"]) == 0
+            assert main(["simulate", "--input", "in/scan.bin", "--output", "fog.bin",
+                         "--alpha", "0.02"]) == 0
+            assert loaded() == [], ("intersect, simulate", loaded())
+            assert main(["sweep", "--input-dir", "in", "--output-dir", "out"]) == 0
+            assert loaded() == ["hashlib", "concurrent.futures"], ("sweep", loaded())
+        """)
+        proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr

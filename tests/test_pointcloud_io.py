@@ -92,6 +92,15 @@ def assert_read_matches_reference(path):
 
 F32_SPECIALS = (np.nan, np.inf, -np.inf, -0.0, 1e-45, -1e-45, 1e-40, 1e30, 3.4e38, -3.4e38,
                 5e-7, 1.5e-6, 2.5e-6)
+# %.6f ties of the exact binary values, which round half to even
+F32_TIES = (5e-7, 1.5e-6, 2.5e-7, -5e-7, -1.5e-6, -2.5e-7, 0.5, -0.0)
+# the float32 values nearest 2**53 / 1e6: numpy formats the one below, and
+# Python's %.6f formats a block holding the one above
+F32_WIDE_EDGE = np.float32(2.0 ** 53 / 1e6)
+assert float(F32_WIDE_EDGE) * 1e6 < 2.0 ** 53 <= float(np.nextafter(F32_WIDE_EDGE, np.inf)) * 1e6
+# values that send their block to %.6f
+F32_FALLBACK = (np.nan, np.inf, -np.inf, float(np.nextafter(F32_WIDE_EDGE, np.inf)), -1e10,
+                3.4e38)
 
 
 def f32_cloud(n, seed=0, span=100.0):
@@ -243,6 +252,34 @@ class TestPlyFormat:
         write_cloud(cloud, path, PLY)
         assert path.read_bytes() == reference_ply_text(cloud).encode("ascii")
 
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           spoiled=st.lists(st.booleans(), min_size=3, max_size=3),
+           special=st.sampled_from(F32_FALLBACK))
+    def test_block_writer_matches_percent_format_on_bit_patterns(self, tmp_path_factory, seed,
+                                                                 spoiled, special):
+        # three blocks of random float32 bit patterns below 2**33, subnormals
+        # included, with ties and the edge value below 2**53 / 1e6 scattered
+        # in; each spoiled block also holds one value only %.6f formats
+        rng = np.random.default_rng(seed)
+        n = 2 * _PLY_WRITE_ROWS + 5
+        bits = rng.integers(0, 2 ** 32, 4 * n, dtype=np.uint32) & np.uint32(0x807FFFFF)
+        bits |= rng.integers(0, 127 + 33, 4 * n, dtype=np.uint32) << np.uint32(23)
+        values = bits.view(np.float32)
+        values[rng.integers(0, 4 * n, 64)] = rng.choice((*F32_TIES, F32_WIDE_EDGE), 64)
+        for k, spoil in enumerate(spoiled):
+            if spoil:
+                values[4 * (k * _PLY_WRITE_ROWS + rng.integers(0, 5))] = special
+        rows = values.reshape(n, 4)
+        for k, spoil in enumerate(spoiled):
+            block = rows[k * _PLY_WRITE_ROWS:(k + 1) * _PLY_WRITE_ROWS]
+            assert (pointcloud_io._ply_text(block) is None) == spoil
+        cloud = PointCloud(rows[:, :3].astype(np.float64), rows[:, 3].astype(np.float64))
+        path = tmp_path_factory.mktemp("ply") / "w.ply"
+        write_cloud(cloud, path, PLY)
+        body = ("%.6f %.6f %.6f %.6f\n" * n) % tuple(rows.ravel().tolist())
+        assert path.read_bytes() == (_PLY_HEADER.format(n=n) + body).encode("ascii")
+
     @pytest.mark.parametrize("n, body", [
         (2, "1 2 3 4\n5 6 7 8\n"),
         (2, "\n1 2 3 4\n\n \t \n5 6 7 8\n\n"),     # blank and whitespace-only lines
@@ -279,6 +316,19 @@ class TestPlyFormat:
     ])
     def test_reader_matches_line_parser(self, tmp_path, n, body):
         assert_read_matches_reference(ply_file(tmp_path / "c.ply", n, body))
+
+    @pytest.mark.parametrize("blank", ["", "\n\n"], ids=["data-first", "two-blank-lines"])
+    @pytest.mark.parametrize("line, fault", [
+        ("5 abc 7 8", "'abc' is not a number"),
+        ("5 6 7", "3 values, expected 4"),
+    ], ids=["bad-token", "short-line"])
+    def test_body_error_names_line_of_file(self, tmp_path, blank, line, fault):
+        path = ply_file(tmp_path / "bad.ply", 3, blank + "1 2 3 4\n" + line + "\n9 9 9 9\n")
+        # 8 header lines, the blank lines, the first data line
+        lineno = 8 + len(blank) + 2
+        with pytest.raises(MalformedFileError) as err:
+            read_cloud(path, PLY)
+        assert str(err.value) == f"{path}: line {lineno}: {fault}"
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(rows=st.lists(st.lists(st.sampled_from(
@@ -463,7 +513,8 @@ class TestIntersect:
         finally:
             tracemalloc.stop()
         assert len(kept) == 0
-        assert peak < 64e6
+        # 17.6 MB with 2**18 pairs per pass, 5.0 MB with 2**16
+        assert peak < 8e6
 
     @pytest.mark.parametrize("fmt", [BIN, PLY], ids=["bin", "ply"])
     def test_scan_output_equals_kdtree_filter(self, tmp_path, fmt, sensor, fog06, table06):

@@ -26,6 +26,7 @@ from lidarfog import (
 from lidarfog import tables
 from lidarfog.cli import main
 from lidarfog.optics import MAX_RANGE, RANGE_STEP
+from lidarfog.pointcloud_io import _PLY_WRITE_ROWS
 from lidarfog.tables import _prefix_max_argmax
 
 from oracles import naive_running_max
@@ -163,6 +164,18 @@ class TestCloudPeakMemory:
         peak = traced_peak(lambda: write_cloud(cloud, tmp_path / "out.bin"))
         # the float32 records (C / 2)
         assert peak < 0.6 * 32 * self.N
+
+    # per value of one _PLY_WRITE_ROWS block: its float64 and integer forms, the
+    # 19-byte text field, the mask of its bytes and the text kept
+    PLY_BLOCK_WORKSET = 100 * 4 * _PLY_WRITE_ROWS
+
+    def test_ply_write_holds_records_and_one_block(self, cloud, tmp_path):
+        peak = traced_peak(lambda: write_cloud(cloud, tmp_path / "out.ply", CloudFormat("ply")))
+        # the float32 records (C / 2) and one block's work arrays, below the
+        # join's budget, so the write never sets an `intersect` run's peak
+        budget = 0.5 * 32 * self.N + self.PLY_BLOCK_WORKSET
+        assert budget < self.JOIN_BUDGET
+        assert peak < budget
 
     def test_ply_read_holds_one_row_array(self, cloud, tmp_path):
         path = tmp_path / "scan.ply"
