@@ -203,7 +203,8 @@ def compute_digests(root: Path) -> dict:
         for name, flags in (("alpha=0.06,r0=30", ["--alpha", "0.06", "--r0", "30"]),
                             ("alpha=0.02,r0=12,peak-correction",
                              ["--alpha", "0.02", "--r0", "12", "--peak-correction"])):
-            out = f"response_{len(cases)}.csv"
+            # one name for every case, so the digest does not move with the case count
+            out = "response.csv"
             code, stdout = run.main(["response", "--output", out, *flags])
             cases[f"response/{name}"] = run.digest(code, stdout, [out])
 
