@@ -9,14 +9,12 @@ from .foggify import (
     DEFAULT_ALPHA_SCHEDULE,
     CloudStats,
     FoggifyOutcome,
-    Point,
     PointCloud,
     Provenance,
     alpha_to_mor,
     fog_from_alpha,
     fog_from_mor,
     foggify_cloud,
-    foggify_point,
     mor_to_alpha,
     mor_to_beta,
     sample_alpha,
@@ -60,7 +58,6 @@ __all__ = [
     "FogParams",
     "FoggifyOutcome",
     "MalformedFileError",
-    "Point",
     "PointCloud",
     "Provenance",
     "PulseEnergy",
@@ -75,7 +72,6 @@ __all__ = [
     "fog_from_alpha",
     "fog_from_mor",
     "foggify_cloud",
-    "foggify_point",
     "hard_peak_intensity",
     "intersect_returns",
     "mor_to_alpha",

@@ -373,7 +373,8 @@ def _apply_config_file(argv):
                 elif value.lower() not in _FALSE:
                     raise ValueError(f"{path}: boolean key {key} has value {value!r}")
             else:
-                flags.extend([f"--{key}", value])
+                # one token, so argparse takes a value such as -scan.bin as the value
+                flags.append(f"--{key}={value}")
     return [argv[0]] + flags + argv[1:]
 
 

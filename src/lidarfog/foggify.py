@@ -55,16 +55,6 @@ class Provenance(IntEnum):
     SOFT_REPLACED = 1
 
 
-@dataclass(frozen=True)
-class Point:
-    """One return: sensor-centered position [m] and intensity reading."""
-
-    x: float
-    y: float
-    z: float
-    intensity: float
-
-
 class PointCloud:
     """Column store of points: xyz (n, 3) float64 and intensity (n,) float64.
 
@@ -159,15 +149,15 @@ def sample_alpha(schedule: Sequence[float], draw: float) -> float:
     return schedule[min(int(draw * len(schedule)), len(schedule) - 1)]
 
 
-def _transform_block(xyz, inten, out_xyz, out_inten, soft, draw, fog: FogParams,
-                     table: SoftResponseTable):
+def _transform_block(xyz, inten, out_xyz, out_inten, soft, seed: int, lo: int,
+                     fog: FogParams, table: SoftResponseTable):
     """Vectorized per-point transform of one block; the single source of truth.
 
     `xyz` (m, 3) and `inten` (m,) are the block's input rows, only read;
     `out_xyz` and `out_inten` receive the transformed rows and `soft` (m,)
-    bool the relocated mask.  `draw(k)` returns the noise draws in [0, 1)
-    for the block rows k, and is called once, with the relocated rows only;
-    the other rows keep their coordinates without any arithmetic.  Skipped
+    bool the relocated mask.  The block starts at cloud row `lo`; only its
+    relocated rows k are drawn, with `uniform01(seed, lo + k)`, and the
+    other rows keep their coordinates without any arithmetic.  Skipped
     points (zero/overlong range, non-finite coordinates, negative or
     non-finite intensity) pass through unchanged; the return value counts
     them.  A fog return that overflows (a huge beta or a tiny beta_0) raises
@@ -226,8 +216,10 @@ def _transform_block(xyz, inten, out_xyz, out_inten, soft, draw, fog: FogParams,
 
     # noise factor 2^p with p uniform in [-1, 1); the new range n * r_tmp is
     # applied along the unit direction so a median draw lands exactly on the
-    # table argmax range
-    new_range = np.exp2(2.0 * draw(k) - 1.0)
+    # table argmax range.  `uniform01` is looked up as a module global at each
+    # call, so a wrapper of `lidarfog.foggify.uniform01` (perfbench/spans.py,
+    # tests that monkeypatch it) sees every draw
+    new_range = np.exp2(2.0 * uniform01(seed, lo + k) - 1.0)
     new_range *= r_tmp
     # (xyz[k] / r0s[:, None]) * new_range[:, None]
     moved = xyz[k]
@@ -245,27 +237,6 @@ def _check_table(table: SoftResponseTable, fog: FogParams, sensor: SensorModel):
         )
     if table.sensor != sensor:
         raise ValueError(f"table was built for another sensor: {table.sensor}, not {sensor}")
-
-
-def foggify_point(p: Point, fog: FogParams, sensor: SensorModel,
-                  table: SoftResponseTable, noise_draw: float):
-    """Transform one point; returns (Point, Provenance).
-
-    `noise_draw` in [0, 1) drives the range jitter of a relocated point.
-    Degenerate inputs (zero range, non-finite values, negative intensity,
-    range beyond MAX_RANGE) come back unchanged and tagged HARD_KEPT.
-    """
-    if not 0.0 <= noise_draw < 1.0:
-        raise ValueError(f"noise_draw must lie in [0, 1), got {noise_draw}")
-    _check_table(table, fog, sensor)
-    xyz = np.array([[p.x, p.y, p.z]], dtype=np.float64)
-    inten = np.array([p.intensity], dtype=np.float64)
-    out_xyz, out_inten = np.empty_like(xyz), np.empty_like(inten)
-    soft = np.empty(1, dtype=bool)
-    _transform_block(xyz, inten, out_xyz, out_inten, soft,
-                     lambda k: np.full(k.size, noise_draw, dtype=np.float64), fog, table)
-    tag = Provenance.SOFT_REPLACED if soft[0] else Provenance.HARD_KEPT
-    return Point(*map(float, out_xyz[0]), float(out_inten[0])), tag
 
 
 def foggify_cloud(
@@ -312,10 +283,8 @@ def foggify_cloud(
     soft = provenance.view(np.bool_)
 
     def run_block(lo: int, hi: int) -> int:
-        # the module global is looked up per call, so wrappers of it see every draw
         return _transform_block(cloud.xyz[lo:hi], cloud.intensity[lo:hi], xyz[lo:hi],
-                                inten[lo:hi], soft[lo:hi], lambda k: uniform01(seed, lo + k),
-                                fog, table)
+                                inten[lo:hi], soft[lo:hi], seed, lo, fog, table)
 
     blocks = [(lo, min(lo + _BLOCK_SIZE, n)) for lo in range(0, n, _BLOCK_SIZE)]
     if workers is None:

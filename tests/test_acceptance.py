@@ -20,7 +20,6 @@ import pytest
 from lidarfog import (
     DEFAULT_ALPHA_SCHEDULE,
     FogParams,
-    Point,
     PointCloud,
     Provenance,
     PulseEnergy,

@@ -192,6 +192,16 @@ class TestSimulate:
                      "--input", str(cloud_file), "--output", str(c)]) == 0
         assert c.read_bytes() != a.read_bytes()
 
+    def test_config_value_starting_with_dash(self, tmp_path, cloud_file, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cloud_file.rename("-scan.bin")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("input = -scan.bin\noutput = -a.bin\nalpha = 0.06\n")
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        assert main(["simulate", "--input=-scan.bin", "--output=-b.bin",
+                     "--alpha", "0.06"]) == 0
+        assert (tmp_path / "-a.bin").read_bytes() == (tmp_path / "-b.bin").read_bytes()
+
     def test_config_booleans_match_the_parser(self, tmp_path):
         flags = store_true_flags()
         assert set(REQUIRED_ARGS) == set(flags)

@@ -7,7 +7,6 @@ import pytest
 from lidarfog import (
     DEFAULT_ALPHA_SCHEDULE,
     FogParams,
-    Point,
     PointCloud,
     Provenance,
     SensorModel,
@@ -16,7 +15,6 @@ from lidarfog import (
     fog_from_alpha,
     fog_from_mor,
     foggify_cloud,
-    foggify_point,
     mor_to_alpha,
     mor_to_beta,
     query_soft_max,
@@ -127,80 +125,85 @@ class TestSampleAlpha:
             sample_alpha([0.06], -0.1)
 
 
+def set_draw(monkeypatch, value):
+    """Every noise draw `foggify_cloud` takes from now on is `value`."""
+    monkeypatch.setattr(foggify, "uniform01",
+                        lambda seed, index: np.full(np.shape(index), value))
+
+
+def foggify_row(x, y, z, intensity, fog, sensor, table):
+    """`foggify_cloud` on one point, unscaled: its (x, y, z, intensity) and tag."""
+    out = foggify_cloud(PointCloud([[x, y, z]], [intensity]), fog, sensor, rescale=False,
+                        table=table)
+    return (*out.cloud.xyz[0], out.cloud.intensity[0]), Provenance(out.provenance[0])
+
+
 class TestFoggifyPoint:
+    """The per-point rule, seen through `foggify_cloud` on one-row clouds."""
+
     def test_identity_in_clear_air(self, fog_zero, table_zero, sensor):
-        p = Point(12.5, -3.25, 1.125, 87.5)
-        out, tag = foggify_point(p, fog_zero, sensor, table_zero, 0.77)
+        p = (12.5, -3.25, 1.125, 87.5)
+        out, tag = foggify_row(*p, fog_zero, sensor, table_zero)
         assert out == p
         assert tag == Provenance.HARD_KEPT
 
-    def test_median_draw_lands_on_argmax_range(self, fog_heavy, table_heavy, sensor):
-        p = Point(30.0, 0.0, 0.0, 100.0)
-        out, tag = foggify_point(p, fog_heavy, sensor, table_heavy, 0.5)
+    def test_median_draw_lands_on_argmax_range(self, fog_heavy, table_heavy, sensor,
+                                               monkeypatch):
+        set_draw(monkeypatch, 0.5)
+        (x, y, z, inten), tag = foggify_row(30.0, 0.0, 0.0, 100.0, fog_heavy, sensor,
+                                            table_heavy)
         assert tag == Provenance.SOFT_REPLACED
         i_tmp, r_tmp = query_soft_max(table_heavy, 30.0)
-        assert (out.x, out.y, out.z) == (r_tmp, 0.0, 0.0)
+        assert (x, y, z) == (r_tmp, 0.0, 0.0)
         i_soft = (100.0 * 30.0 * 30.0 / fog_heavy.beta_0) * fog_heavy.beta * i_tmp
-        assert out.intensity == i_soft
+        assert inten == i_soft
 
     def test_hard_branch_attenuates_only(self, fog06, table06, sensor):
-        p = Point(0.0, 15.0, 0.0, 200.0)  # near target: solid return wins
-        out, tag = foggify_point(p, fog06, sensor, table06, 0.1)
+        # near target: solid return wins
+        (x, y, z, inten), tag = foggify_row(0.0, 15.0, 0.0, 200.0, fog06, sensor, table06)
         assert tag == Provenance.HARD_KEPT
-        assert (out.x, out.y, out.z) == (0.0, 15.0, 0.0)
-        assert out.intensity == 200.0 * np.exp(-2.0 * fog06.alpha * 15.0)
+        assert (x, y, z) == (0.0, 15.0, 0.0)
+        assert inten == 200.0 * np.exp(-2.0 * fog06.alpha * 15.0)
 
-    def test_noise_envelope(self, fog_heavy, table_heavy, sensor):
-        p = Point(30.0, 0.0, 0.0, 100.0)
+    def test_noise_envelope(self, fog_heavy, table_heavy, sensor, monkeypatch):
         _, r_tmp = query_soft_max(table_heavy, 30.0)
         for draw in np.linspace(0.0, 0.999999, 41):
-            out, tag = foggify_point(p, fog_heavy, sensor, table_heavy, float(draw))
+            set_draw(monkeypatch, draw)
+            (x, y, z, _), tag = foggify_row(30.0, 0.0, 0.0, 100.0, fog_heavy, sensor,
+                                            table_heavy)
             assert tag == Provenance.SOFT_REPLACED
-            rng_out = math.sqrt(out.x**2 + out.y**2 + out.z**2)
+            rng_out = math.sqrt(x**2 + y**2 + z**2)
             assert r_tmp / 2 <= rng_out < 2 * r_tmp
 
     def test_zero_intensity_point_kept(self, fog06, table06, sensor):
-        out, tag = foggify_point(Point(40.0, 0.0, 0.0, 0.0), fog06, sensor, table06, 0.3)
+        out, tag = foggify_row(40.0, 0.0, 0.0, 0.0, fog06, sensor, table06)
         assert tag == Provenance.HARD_KEPT
-        assert out == Point(40.0, 0.0, 0.0, 0.0)
+        assert out == (40.0, 0.0, 0.0, 0.0)
 
     def test_degenerate_points_pass_through(self, fog06, table06, sensor):
-        for p in (Point(0.0, 0.0, 0.0, 10.0),
-                  Point(np.nan, 1.0, 1.0, 10.0),
-                  Point(500.0, 0.0, 0.0, 10.0),
-                  Point(1.0, 1.0, 1.0, np.inf),
-                  Point(30.0, 0.0, 0.0, -5.0)):
-            out, tag = foggify_point(p, fog06, sensor, table06, 0.5)
+        for p in ((0.0, 0.0, 0.0, 10.0),
+                  (np.nan, 1.0, 1.0, 10.0),
+                  (500.0, 0.0, 0.0, 10.0),
+                  (1.0, 1.0, 1.0, np.inf),
+                  (30.0, 0.0, 0.0, -5.0)):
+            out, tag = foggify_row(*p, fog06, sensor, table06)
             assert tag == Provenance.HARD_KEPT
-            assert (out.x != out.x) if p.x != p.x else out.x == p.x
-            assert (out.intensity != out.intensity) if p.intensity != p.intensity \
-                else out.intensity == p.intensity
-
-    def test_bad_noise_draw_rejected(self, fog06, table06, sensor):
-        with pytest.raises(ValueError):
-            foggify_point(Point(1, 1, 1, 1), fog06, sensor, table06, 1.0)
-        with pytest.raises(ValueError):
-            foggify_point(Point(1, 1, 1, 1), fog06, sensor, table06, -0.5)
-
-    def test_table_alpha_mismatch_rejected(self, fog06, table_heavy, sensor):
-        with pytest.raises(ValueError):
-            foggify_point(Point(1, 1, 1, 1), fog06, sensor, table_heavy, 0.5)
+            assert np.array(out).tobytes() == np.array(p).tobytes()
 
     def test_table_sensor_mismatch_rejected(self, fog06, table06):
-        p = Point(30.0, 0.0, 0.0, 100.0)
+        p = (30.0, 0.0, 0.0, 100.0)
         for change in SENSOR_CHANGES:
             other = dataclasses.replace(SensorModel(), **change)
             with pytest.raises(ValueError, match="another sensor"):
-                foggify_point(p, fog06, other, table06, 0.5)
+                foggify_row(*p, fog06, other, table06)
         # an equal sensor built separately is the same sensor
-        assert foggify_point(p, fog06, SensorModel(), table06, 0.5) == \
-            foggify_point(p, fog06, table06.sensor, table06, 0.5)
+        assert foggify_row(*p, fog06, SensorModel(), table06) == \
+            foggify_row(*p, fog06, table06.sensor, table06)
 
     def test_overflowing_fog_return_rejected(self, sensor):
-        p = Point(30.0, 0.0, 0.0, 1.0)
         for fog in (fog_from_alpha(0.06, beta=1e308), fog_from_alpha(0.06, beta_0=1e-320)):
             with pytest.raises(ValueError, match="overflows.*beta=.*beta_0="):
-                foggify_point(p, fog, sensor, build_table(fog, sensor), 0.5)
+                foggify_row(30.0, 0.0, 0.0, 1.0, fog, sensor, build_table(fog, sensor))
 
 
 class TestFoggifyCloud:
@@ -228,17 +231,6 @@ class TestFoggifyCloud:
         assert np.array_equal(out.cloud.xyz, cloud.xyz)
         assert np.array_equal(out.cloud.intensity, cloud.intensity)
         assert np.all(out.provenance == Provenance.HARD_KEPT)
-
-    def test_matches_per_point_api(self, fog06, table06, sensor):
-        cloud = random_cloud(257, seed=14)
-        out = foggify_cloud(cloud, fog06, sensor, seed=21, rescale=False, table=table06)
-        for i in range(len(cloud)):
-            p, tag = foggify_point(Point(*cloud.xyz[i], cloud.intensity[i]), fog06, sensor,
-                                   table06, uniform01(21, i))
-            assert (p.x, p.y, p.z, p.intensity) == (
-                out.cloud.xyz[i, 0], out.cloud.xyz[i, 1], out.cloud.xyz[i, 2],
-                out.cloud.intensity[i])
-            assert tag == out.provenance[i]
 
     def test_worker_count_invariance(self, fog06, table06, sensor):
         cloud = random_cloud(200_000, seed=15)
@@ -392,6 +384,11 @@ class TestFoggifyCloud:
         # an equal sensor built separately is the same sensor
         assert foggify_cloud(cloud, fog06, SensorModel(), table=table06).stats.n_points == 100
 
+    def test_table_alpha_mismatch_rejected(self, fog06, table_heavy, sensor):
+        cloud = random_cloud(100, seed=22)
+        with pytest.raises(ValueError, match="table was built for alpha=0.2, fog has alpha=0.06"):
+            foggify_cloud(cloud, fog06, sensor, table=table_heavy)
+
     def test_overflowing_fog_return_rejected(self, sensor):
         # KITTI-style reflectance: every point's fog return overflows to inf
         cloud = random_cloud(300, seed=25, scale=1.0)
@@ -491,20 +488,6 @@ class TestCallerArraysUntouched:
         assert out.cloud.xyz.tobytes() == ref.cloud.xyz.tobytes()
         assert out.provenance.tobytes() == ref.provenance.tobytes()
 
-    def test_foggify_point(self, fog06, table06, sensor):
-        cloud = self.read_only_cloud()
-        before = cloud.xyz.tobytes(), cloud.intensity.tobytes()
-        out = foggify_cloud(cloud, fog06, sensor, seed=6, rescale=False, table=table06)
-        draws = uniform01(6, np.arange(len(cloud)))
-        for i in range(0, len(cloud), 7):
-            p, tag = foggify_point(Point(*cloud.xyz[i], cloud.intensity[i]), fog06, sensor,
-                                   table06, draws[i])
-            assert tag == out.provenance[i]
-            got = np.array([p.x, p.y, p.z, p.intensity])
-            want = np.append(out.cloud.xyz[i], out.cloud.intensity[i])
-            assert got.tobytes() == want.tobytes(), i
-        assert (cloud.xyz.tobytes(), cloud.intensity.tobytes()) == before
-
     @pytest.mark.parametrize("workers", [1, 2])
     def test_overflow_leaves_inputs(self, sensor, monkeypatch, workers):
         cloud = self.read_only_cloud()
@@ -514,9 +497,6 @@ class TestCallerArraysUntouched:
         monkeypatch.setattr(foggify, "_BLOCK_SIZE", 999)
         with pytest.raises(ValueError, match="overflows"):
             foggify_cloud(cloud, fog, sensor, table=table, workers=workers)
-        with pytest.raises(ValueError, match="overflows"):
-            foggify_point(Point(30.0, 40.0, 0.0, float(cloud.intensity[1])), fog, sensor,
-                          table, 0.5)
         assert (cloud.xyz.tobytes(), cloud.intensity.tobytes()) == before
 
 

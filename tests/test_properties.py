@@ -24,14 +24,12 @@ from scipy.spatial import cKDTree
 import lidarfog.cli as cli
 import lidarfog.foggify as foggify
 from lidarfog import (
-    Point,
     PointCloud,
     Provenance,
     build_table,
     build_tables,
     fog_from_alpha,
     foggify_cloud,
-    foggify_point,
     intersect_returns,
     mor_to_beta,
     query_soft_max,
@@ -132,11 +130,6 @@ def test_provenance_follows_the_per_point_rule(sensor, cloud, alpha, seed):
             i_soft = (inten * r0[i] * r0[i] / fog.beta_0) * fog.beta * i_tmp
             expect = bool(i_soft > hard_peak_intensity(inten, float(r0[i]), fog.alpha))
         assert out.provenance[i] == expect, f"point {i}"
-        p, tag = foggify_point(Point(*cloud.xyz[i], cloud.intensity[i]), fog, sensor, table,
-                               uniform01(seed, i))
-        assert tag == out.provenance[i]
-        assert same_bits([p.x, p.y, p.z, p.intensity],
-                         [*out.cloud.xyz[i], out.cloud.intensity[i]])
 
 
 @PROPERTY

@@ -6,7 +6,6 @@ import pytest
 from lidarfog import (
     CloudFormat,
     FogParams,
-    Point,
     PointCloud,
     Provenance,
     SensorModel,
@@ -15,7 +14,6 @@ from lidarfog import (
     build_tables,
     fog_from_alpha,
     foggify_cloud,
-    foggify_point,
     intersect_returns,
     naive_soft_max,
     query_soft_max,
@@ -23,7 +21,7 @@ from lidarfog import (
     soft_response_integral,
     write_cloud,
 )
-from lidarfog import tables
+from lidarfog import foggify, tables
 from lidarfog.cli import main
 from lidarfog.optics import MAX_RANGE, RANGE_STEP
 from lidarfog.pointcloud_io import _PLY_WRITE_ROWS
@@ -267,17 +265,26 @@ class TestQuery:
         fog = fog_from_alpha(0.06)
         table = SoftResponseTable(fog.alpha, values, pm, am, sensor)
         monkeypatch.setattr(tables, "soft_response_integral", lambda r, *args: r)
-        below = {"product": 0, "literal": 0}
-        for k in range(1, 2001):
-            for kind, r0 in (("product", k * step), ("literal", float(f"{k // 10}.{k % 10}"))):
-                entry = int(r0 / step)  # floor in floating point
-                chosen = (entry * step, entry * step)
-                assert query_soft_max(table, r0) == chosen
-                assert naive_soft_max(r0, fog, sensor) == chosen
-                # a median draw puts a relocated point exactly on r_tmp
-                p, tag = foggify_point(Point(r0, 0.0, 0.0, 50.0), fog, sensor, table, 0.5)
-                assert tag == Provenance.SOFT_REPLACED and p.x == chosen[1]
-                below[kind] += entry == k - 1
+        k = np.arange(1, 2001)
+        ranges = {"product": k * step,
+                  "literal": np.array([float(f"{i // 10}.{i % 10}") for i in k])}
+        chosen, below = {}, {}
+        for kind, r0 in ranges.items():
+            entry = (r0 / step).astype(np.int64)  # floor in floating point
+            chosen[kind] = entry * step
+            for r, want in zip(r0.tolist(), chosen[kind].tolist()):
+                assert query_soft_max(table, r) == (want, want)
+                assert naive_soft_max(r, fog, sensor) == (want, want)
+            below[kind] = int(np.count_nonzero(entry == k - 1))
+        # a median draw puts every relocated point exactly on r_tmp
+        monkeypatch.setattr(foggify, "uniform01",
+                            lambda seed, index: np.full(np.shape(index), 0.5))
+        r0 = np.concatenate(list(ranges.values()))
+        cloud = PointCloud(np.column_stack((r0, np.zeros_like(r0), np.zeros_like(r0))),
+                           np.full(r0.size, 50.0))
+        out = foggify_cloud(cloud, fog, sensor, rescale=False, table=table)
+        assert np.all(out.provenance == Provenance.SOFT_REPLACED)
+        assert np.array_equal(out.cloud.xyz[:, 0], np.concatenate(list(chosen.values())))
         assert below == {"product": 98, "literal": 697}
         assert query_soft_max(table, 4.3)[1] == 42 * step
 

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 import lidarfog
+from lidarfog.pointcloud_io import _PAIR_BUDGET
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -57,6 +58,12 @@ def test_readme_lower_level_names_are_exported():
     names = re.findall(r"`(\w+)`", sentence)
     assert len(names) >= 9
     assert set(names) <= set(lidarfog.__all__), set(names) - set(lidarfog.__all__)
+
+
+def test_readme_pair_budget_is_the_code_figure():
+    text = README_PATH.read_text(encoding="utf-8")
+    powers = re.findall(r"checks at most 2\^(\d+)\s+candidate pairs", text)
+    assert powers and all(2 ** int(p) == _PAIR_BUDGET for p in powers), powers
 
 
 def test_every_exported_name_resolves():
