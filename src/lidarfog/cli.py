@@ -304,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats", help="write run statistics JSON here")
     p.add_argument("--provenance", help="write per-point provenance mask here "
                                         "(one byte per point: 0 kept, 1 relocated)")
-    p.add_argument("--workers", type=int, help="worker threads (default: cpu count)")
+    p.add_argument("--workers", type=int, help="block threads (default: one thread per 4 "
+                                               "blocks of 32768 points, at most the cpu count)")
     _add_io_flags(p)
     p.set_defaults(func=cmd_simulate)
 

@@ -155,6 +155,32 @@ class TestSimulate:
             assert "overflows" in capsys.readouterr().err
             assert not any(path.exists() for path in outputs)
 
+    @pytest.fixture
+    def huge_intensity_ply(self, tmp_path):
+        # a finite intensity that only a float64 PLY body can carry
+        path = tmp_path / "scan.ply"
+        path.write_text(_PLY_HEADER.format(n=2) + "50 0 0 1e300\n10 0 0 0.5\n")
+        return path
+
+    def test_overflowing_intensity_names_the_point(self, huge_intensity_ply, tmp_path, capsys):
+        out = tmp_path / "o.ply"
+        assert main(["simulate", "--input", str(huge_intensity_ply), "--output", str(out),
+                     "--format", "ply", "--alpha", "0.06"]) == 2
+        # the fog parameters are valid and are not blamed
+        assert capsys.readouterr().err == ("error: point 0 (intensity 1e+300, range 50.0 m) "
+                                           "has a fog return that overflows\n")
+        assert not out.exists()
+
+    def test_fog_overflowing_at_unit_intensity_names_the_fog(self, huge_intensity_ply,
+                                                              tmp_path, capsys):
+        out = tmp_path / "o.ply"
+        assert main(["simulate", "--input", str(huge_intensity_ply), "--output", str(out),
+                     "--format", "ply", "--alpha", "0.06", "--beta", "1e300",
+                     "--beta0", "1e-300"]) == 2
+        assert capsys.readouterr().err == ("error: the fog return overflows: beta=1e+300 and "
+                                           "beta_0=1e-300 give a non-finite intensity\n")
+        assert not out.exists()
+
     def test_empty_input_exits_1_and_names_file(self, tmp_path, capsys):
         empty = tmp_path / "empty.bin"
         empty.write_bytes(b"")
@@ -599,9 +625,11 @@ class TestImports:
 
     def test_only_sweep_loads_hashlib_and_thread_pools(self, tmp_path):
         # hashlib maps OpenSSL (~3.6 MB) to key sweep's files, and
-        # concurrent.futures brings logging; the other commands need neither
+        # concurrent.futures brings logging; the other commands need neither,
+        # and `simulate` starts no block thread on a KITTI-sized scan (4 blocks)
         (tmp_path / "in").mkdir()
         rows = make_bin(tmp_path / "in" / "scan.bin", n=200, seed=4)
+        make_bin(tmp_path / "kitti.bin", n=120_000, seed=5)
         (tmp_path / "last.bin").write_bytes(rows[::2].tobytes())
         src = os.path.dirname(os.path.dirname(lidarfog.__file__))
         env = dict(os.environ, PYTHONPATH=src)
@@ -616,6 +644,8 @@ class TestImports:
             assert main(["intersect", "in/scan.bin", "last.bin", "--output", "kept.bin"]) == 0
             assert main(["simulate", "--input", "in/scan.bin", "--output", "fog.bin",
                          "--alpha", "0.02"]) == 0
+            assert main(["simulate", "--input", "kitti.bin", "--output", "kitti_fog.bin",
+                         "--alpha", "0.06"]) == 0
             assert loaded() == [], ("intersect, simulate", loaded())
             assert main(["sweep", "--input-dir", "in", "--output-dir", "out"]) == 0
             assert loaded() == ["hashlib", "concurrent.futures"], ("sweep", loaded())

@@ -1,5 +1,7 @@
+import concurrent.futures
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -239,6 +241,31 @@ class TestFoggifyCloud:
             out = foggify_cloud(cloud, fog06, sensor, seed=3, table=table06, workers=workers)
             assert np.array_equal(ref.cloud.xyz, out.cloud.xyz)
             assert np.array_equal(ref.cloud.intensity, out.cloud.intensity)
+
+    @pytest.mark.parametrize("n_blocks", ["2K", "2K-1", "KITTI"])
+    def test_default_threads_follow_cloud_size(self, fog06, table06, sensor, monkeypatch,
+                                               n_blocks):
+        # threads only from 2K blocks on (K = _BLOCKS_PER_THREAD); a KITTI-sized
+        # scan of 4 blocks runs in the caller's thread
+        k = foggify._BLOCKS_PER_THREAD
+        blocks = {"2K": 2 * k, "2K-1": 2 * k - 1, "KITTI": 4}[n_blocks]
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(foggify, "_BLOCK_SIZE", 64)
+        cloud = random_cloud(blocks * 64 - 5, seed=27)
+        ref = foggify_cloud(cloud, fog06, sensor, seed=3, table=table06, workers=1)
+        started = []
+
+        class Spy(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Spy)
+        out = foggify_cloud(cloud, fog06, sensor, seed=3, table=table06)
+        assert started == ([2] if n_blocks == "2K" else [])
+        assert np.array_equal(ref.cloud.xyz, out.cloud.xyz)
+        assert np.array_equal(ref.cloud.intensity, out.cloud.intensity)
+        assert np.array_equal(ref.provenance, out.provenance)
 
     def test_block_size_invariance(self, fog06, table06, sensor, monkeypatch):
         cloud = random_cloud(10_000, seed=16)

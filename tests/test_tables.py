@@ -143,13 +143,15 @@ class TestCloudPeakMemory:
         d /= np.linalg.norm(d, axis=1, keepdims=True)
         return PointCloud(d * rng.uniform(2.0, 150.0, (self.N, 1)), rng.uniform(0, 1, self.N))
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, None])
     def test_foggify_cloud_holds_output_and_block_buffers(self, cloud, table06, fog06,
                                                           sensor, workers):
         peak = traced_peak(lambda: foggify_cloud(cloud, fog06, sensor, seed=1,
                                                  table=table06, workers=workers))
-        # output xyz and intensity (C), uint8 provenance (n), block buffers
-        assert peak < 32 * self.N + self.N + workers * self.BLOCK_WORKSET
+        # output xyz and intensity (C), uint8 provenance (n), block buffers; by
+        # default the cloud's 4 blocks run in one thread
+        threads = workers or 1
+        assert peak < 32 * self.N + self.N + threads * self.BLOCK_WORKSET
 
     def test_bin_read_widens_without_staging(self, cloud, tmp_path):
         path = tmp_path / "scan.bin"

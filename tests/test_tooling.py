@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 import lidarfog
+from lidarfog.foggify import _BLOCK_SIZE, _BLOCKS_PER_THREAD
 from lidarfog.pointcloud_io import _PAIR_BUDGET
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -64,6 +65,19 @@ def test_readme_pair_budget_is_the_code_figure():
     text = README_PATH.read_text(encoding="utf-8")
     powers = re.findall(r"checks at most 2\^(\d+)\s+candidate pairs", text)
     assert powers and all(2 ** int(p) == _PAIR_BUDGET for p in powers), powers
+
+
+CLI_PATH = Path(lidarfog.__file__).with_name("cli.py")
+
+
+def test_readme_thread_rule_is_the_code_figure():
+    # the README and `simulate --help` state the default block-thread rule
+    for path in (README_PATH, CLI_PATH):
+        text = path.read_text(encoding="utf-8")
+        rules = re.findall(r"one thread per (\d+)\s+\W*blocks of (\d+) points", text)
+        assert rules, path
+        assert all((int(k), int(rows)) == (_BLOCKS_PER_THREAD, _BLOCK_SIZE)
+                   for k, rows in rules), (path, rules)
 
 
 def test_every_exported_name_resolves():
