@@ -356,7 +356,7 @@ def _apply_config_file(argv):
             path = argv[i + 1]
         elif tok.startswith("--config="):
             path = tok.split("=", 1)[1]
-    if path is None or not argv:
+    if path is None:
         return argv
     flags = []
     with open(path, "r", encoding="utf-8") as fh:

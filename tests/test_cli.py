@@ -189,6 +189,16 @@ class TestSimulate:
         assert rc == 1
         assert str(empty) in capsys.readouterr().err
 
+    def test_output_onto_a_directory_exits_1_and_leaves_no_temp(self, tmp_path, cloud_file,
+                                                                capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["simulate", "--input", str(cloud_file), "--output", str(out),
+                     "--alpha", "0.06"]) == 1
+        assert f"Is a directory: '{out}.tmp{os.getpid()}' -> '{out}'" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "scan.bin"]
+        assert list(out.iterdir()) == []
+
     def test_workers_below_one_exit_2(self, tmp_path, cloud_file):
         base = ["simulate", "--input", str(cloud_file), "--output", str(tmp_path / "o.bin"),
                 "--alpha", "0.06", "--workers"]
@@ -227,6 +237,30 @@ class TestSimulate:
         assert main(["simulate", "--input=-scan.bin", "--output=-b.bin",
                      "--alpha", "0.06"]) == 0
         assert (tmp_path / "-a.bin").read_bytes() == (tmp_path / "-b.bin").read_bytes()
+
+    def test_config_equals_spelling_runs_like_two_tokens(self, tmp_path, cloud_file):
+        cfg = tmp_path / "ok.cfg"
+        cfg.write_text("alpha = 0.06\nseed = 9\n")
+        outs = [tmp_path / f"{name}.bin" for name in "abc"]
+        assert main(["simulate", f"--config={cfg}",
+                     "--input", str(cloud_file), "--output", str(outs[0])]) == 0
+        assert main(["simulate", "--config", str(cfg),
+                     "--input", str(cloud_file), "--output", str(outs[1])]) == 0
+        assert main(["simulate", "--alpha", "0.06", "--seed", "9",
+                     "--input", str(cloud_file), "--output", str(outs[2])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+
+    @pytest.mark.parametrize("line, message", [
+        ("alpha 0.02", "bad.cfg: expected key=value, got 'alpha 0.02'"),
+        ("no_rescale = maybe", "bad.cfg: boolean key no-rescale has value 'maybe'"),
+    ])
+    def test_bad_config_line_exits_2(self, tmp_path, cloud_file, capsys, line, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"seed = 9\n{line}\n")
+        assert main(["simulate", "--config", str(cfg), "--alpha", "0.06",
+                     "--input", str(cloud_file), "--output", str(tmp_path / "o.bin")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o.bin").exists()
 
     def test_config_booleans_match_the_parser(self, tmp_path):
         flags = store_true_flags()
@@ -336,6 +370,14 @@ class TestSweep:
                      "--alphas", "0.02,nan", "--beta", "0.001"]) == 2
         assert not dst.exists()
 
+    def test_empty_schedule_exits_2(self, tmp_path, capsys):
+        src = self._make_dir(tmp_path, n_files=1)
+        dst = tmp_path / "out"
+        assert main(["sweep", "--input-dir", str(src), "--output-dir", str(dst),
+                     "--alphas", ","]) == 2
+        assert "--alphas schedule is empty" in capsys.readouterr().err
+        assert not dst.exists()
+
     def test_output_dir_equal_to_input_exits_2(self, tmp_path, capsys):
         src = self._make_dir(tmp_path, n_files=1)
         before = (src / "0000.bin").read_bytes()
@@ -441,6 +483,12 @@ class TestResponse:
     def test_invalid_r0_exits_2(self, tmp_path):
         assert main(["response", "--r0", "0.5", "--alpha", "0.06",
                      "--output", str(tmp_path / "r.csv")]) == 2
+
+    def test_r0_beyond_max_range_exits_2(self, tmp_path, capsys):
+        assert main(["response", "--r0", "250", "--alpha", "0.06",
+                     "--output", str(tmp_path / "r.csv")]) == 2
+        assert f"--r0 must be within {MAX_RANGE} m" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
 
     def test_nonfinite_pulse_span_or_energy_exits_2(self, tmp_path):
         base = ["response", "--r0", "30", "--alpha", "0.06", "--output", str(tmp_path / "r.csv")]

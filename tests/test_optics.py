@@ -230,18 +230,19 @@ class TestSoftResponseIntegral:
             assert np.all(np.diff(vals) <= 0.0)
 
     def test_hard_range_truncation(self, fog06, sensor):
+        def cut(r):
+            return soft_response_integrals([r], fog06, sensor, hard_range=30.0)[0]
+
         # no effect at or below the target, strict cut beyond it
-        assert soft_response_integral(20.0, fog06, sensor, hard_range=30.0) == \
-            soft_response_integral(20.0, fog06, sensor)
-        assert soft_response_integral(30.0, fog06, sensor, hard_range=30.0) == \
-            soft_response_integral(30.0, fog06, sensor)
-        past = soft_response_integral(32.0, fog06, sensor, hard_range=30.0)
+        assert cut(20.0) == soft_response_integral(20.0, fog06, sensor)
+        assert cut(30.0) == soft_response_integral(30.0, fog06, sensor)
+        past = cut(32.0)
         free = soft_response_integral(32.0, fog06, sensor)
         assert 0.0 < past < free
         ref = soft_integral_quad(32.0, fog06.alpha, hard_range=30.0)
         assert past == pytest.approx(ref, rel=1e-6)
         # everything scattered back from beyond the target: no contribution
-        assert soft_response_integral(36.1, fog06, sensor, hard_range=30.0) == 0.0
+        assert cut(36.1) == 0.0
 
 
 def loop_reference(r, fog, sensor, subintervals=40, hard_range=None):
@@ -324,7 +325,7 @@ class TestSoftResponseIntegrals:
             ref = [loop_reference(x, fog06, sensor, hard_range=hard) for x in r]
             assert got.tolist() == ref
             assert got[-2] == got[-1] == 0.0  # every slab beyond the target
-            assert [soft_response_integral(x, fog06, sensor, hard_range=hard)
+            assert [soft_response_integrals([x], fog06, sensor, hard_range=hard)[0]
                     for x in r] == ref
 
     @pytest.mark.parametrize("tau_h", [20e-9, 50e-9])
@@ -345,6 +346,17 @@ class TestSoftResponseIntegrals:
         assert got[rest].tobytes() == clean[rest].tobytes()
 
 
+def running_max(row):
+    """Prefix max of `row` and the first grid range reaching it, by a strict-max scan."""
+    best, best_r, pm, am = 0.0, 0.0, [], []
+    for k, v in enumerate(row, 1):
+        if v > best:
+            best, best_r = v, k * RANGE_STEP
+        pm.append(best)
+        am.append(best_r)
+    return pm, am
+
+
 # the sweep schedule 0, 0.005, ..., 0.06, clear air included, and two denser fogs
 MANY_ALPHAS = (*(round(0.005 * k, 3) for k in range(13)), 0.2, 1.0)
 
@@ -358,11 +370,15 @@ class TestManyAlphas:
         # a shuffled order: each table must get its own alpha's row
         alphas = MANY_ALPHAS[::2] + MANY_ALPHAS[1::2]
         built = build_tables([FogParams(alpha=a, beta=0.0) for a in alphas], sensor)
+        rows = optics._soft_integrals(grid, alphas, sensor)
         assert [t.alpha for t in built] == list(alphas)
-        for a, table in zip(alphas, built):
-            fog = FogParams(alpha=a, beta=0.0)
-            assert table.values.tolist() == [loop_reference(float(r), fog, sensor)
-                                             for r in grid], a
+        for a, table, row in zip(alphas, built, rows):
+            ref = [loop_reference(float(r), FogParams(alpha=a, beta=0.0), sensor)
+                   for r in grid]
+            assert row.tolist() == ref, a
+            pm, am = running_max(ref)
+            assert table.prefix_max.tolist() == pm, a
+            assert table.prefix_argmax.tolist() == am, a
 
     @pytest.mark.parametrize("tau_h", [20e-9, 50e-9])
     @pytest.mark.parametrize("hard", [None, 30.0])

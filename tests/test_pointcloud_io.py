@@ -241,6 +241,22 @@ class TestPlyFormat:
         write_cloud(PointCloud(np.empty((0, 3)), np.empty(0)), path, PLY)
         assert len(read_cloud(path, PLY)) == 0
 
+    def test_failed_block_leaves_no_file(self, tmp_path, monkeypatch):
+        blocks = []
+
+        def second_block_fails(block):
+            blocks.append(len(block))
+            if len(blocks) == 2:
+                raise RuntimeError("block 2 failed")
+            return ply_text(block)
+
+        ply_text = pointcloud_io._ply_text
+        monkeypatch.setattr(pointcloud_io, "_ply_text", second_block_fails)
+        with pytest.raises(RuntimeError, match="block 2 failed"):
+            write_cloud(f32_cloud(2 * _PLY_WRITE_ROWS + 1), tmp_path / "w.ply", PLY)
+        assert blocks == [_PLY_WRITE_ROWS, _PLY_WRITE_ROWS]
+        assert list(tmp_path.iterdir()) == []
+
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(rows=hnp.arrays(np.float32, st.tuples(st.integers(1, 16), st.just(4)),
                            elements=st.floats(width=32) | st.sampled_from(F32_SPECIALS)),

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -21,7 +23,7 @@ from lidarfog import (
     soft_response_integral,
     write_cloud,
 )
-from lidarfog import foggify, tables
+from lidarfog import foggify, optics, tables
 from lidarfog.cli import main
 from lidarfog.optics import MAX_RANGE, RANGE_STEP
 from lidarfog.pointcloud_io import _PLY_WRITE_ROWS
@@ -30,15 +32,30 @@ from lidarfog.tables import _prefix_max_argmax
 from oracles import naive_running_max
 
 
+@pytest.fixture(scope="module")
+def row06(fog06, sensor):
+    """The integral row that `build_table(fog06, sensor)` takes its prefix columns from."""
+    return optics._soft_integrals(np.arange(1, 2001) * RANGE_STEP, [fog06.alpha], sensor)[0]
+
+
 class TestBuild:
-    def test_entries_match_direct_evaluation_bitwise(self, table06, fog06, sensor):
+    def test_table_holds_its_columns_and_the_scalar_one_range(self):
+        assert [f.name for f in dataclasses.fields(SoftResponseTable)] == [
+            "alpha", "prefix_max", "prefix_argmax", "sensor"]
+        assert list(inspect.signature(soft_response_integral).parameters) == [
+            "r", "fog", "sensor"]
+
+    def test_entries_match_direct_evaluation_bitwise(self, row06, fog06, sensor):
         for k in (1, 5, 9, 10, 47, 300, 2000):
             direct = soft_response_integral(k * RANGE_STEP, fog06, sensor)
-            assert table06.values[k - 1] == direct
+            assert row06[k - 1] == direct
 
     def test_zero_entries_below_crossover_start(self, table06):
-        assert np.count_nonzero(table06.values[:9] == 0.0) == 9
-        assert table06.values[9] > 0.0
+        # the integrals are >= 0, so a zero prefix max means nine zero entries
+        assert np.count_nonzero(table06.prefix_max[:9] == 0.0) == 9
+        assert np.count_nonzero(table06.prefix_argmax[:9] == 0.0) == 9
+        assert table06.prefix_max[9] > 0.0
+        assert table06.prefix_argmax[9] == 10 * RANGE_STEP
 
     def test_entry_count_and_extent(self, table06):
         assert table06.n_entries == 2000
@@ -51,27 +68,32 @@ class TestBuild:
     def test_prefix_max_nondecreasing(self, table06):
         assert np.all(np.diff(table06.prefix_max) >= 0.0)
 
-    def test_prefix_arrays_consistent(self, table06):
+    def test_prefix_arrays_consistent(self, table06, row06):
         best = 0.0
         best_r = 0.0
         for k in range(1, table06.n_entries + 1):
-            v = table06.values[k - 1]
+            v = row06[k - 1]
             if v > best:
                 best, best_r = v, k * RANGE_STEP
             assert table06.prefix_max[k - 1] == best
             assert table06.prefix_argmax[k - 1] == best_r
 
-    def test_all_finite_nonnegative(self, table06):
-        assert np.all(np.isfinite(table06.values))
-        assert np.all(table06.values >= 0.0)
+    def test_all_finite_nonnegative(self, table06, row06):
+        assert np.all(np.isfinite(row06))
+        assert np.all(row06 >= 0.0)
+        assert np.all(np.isfinite(table06.prefix_max))
+        assert np.all(table06.prefix_max >= 0.0)
 
     def test_build_deterministic(self, fog06, sensor):
         again = build_table(fog06, sensor)
-        assert np.array_equal(again.values, build_table(fog06, sensor).values)
+        other = build_table(fog06, sensor)
+        assert np.array_equal(again.prefix_max, other.prefix_max)
+        assert np.array_equal(again.prefix_argmax, other.prefix_argmax)
 
     def test_values_are_read_only(self, table06):
-        with pytest.raises(ValueError):
-            table06.values[0] = 1.0
+        for column in (table06.prefix_max, table06.prefix_argmax):
+            with pytest.raises(ValueError):
+                column[0] = 1.0
 
     def test_build_peak_memory_stays_bounded(self):
         # blocks of optics._BLOCK_SIZE ranges keep the quadrature temporaries
@@ -99,11 +121,14 @@ class TestBuild:
 
     def test_batched_tables_equal_single_builds(self, sensor):
         fogs = [fog_from_alpha(a) for a in (0.06, 0.0, 0.02, 0.06)]
-        for table, fog in zip(build_tables(fogs, sensor), fogs):
+        grid = np.arange(1, 2001) * RANGE_STEP
+        rows = optics._soft_integrals(grid, [fog.alpha for fog in fogs], sensor)
+        for table, fog, row in zip(build_tables(fogs, sensor), fogs, rows):
             one = build_table(fog, sensor)
+            assert row.tobytes() == optics._soft_integrals(grid, [fog.alpha], sensor)[0].tobytes()
             assert table.alpha == fog.alpha
             assert table.sensor == one.sensor == sensor
-            for name in ("values", "prefix_max", "prefix_argmax"):
+            for name in ("prefix_max", "prefix_argmax"):
                 arr = getattr(table, name)
                 assert arr.tobytes() == getattr(one, name).tobytes()
                 assert not arr.flags.writeable
@@ -235,12 +260,12 @@ class TestQuery:
         with pytest.raises(ValueError):
             query_soft_max(table06, MAX_RANGE + 1.0)
 
-    def test_random_queries_match_naive_scan_bitwise(self, table06):
+    def test_random_queries_match_naive_scan_bitwise(self, table06, row06):
         rng = np.random.default_rng(7)
         for r0 in rng.uniform(0.01, 200.0, 300):
             i_tmp, r_tmp = query_soft_max(table06, float(r0))
             k_max = int(r0 / RANGE_STEP)
-            ref_i, ref_r = naive_running_max(table06.values, min(k_max, table06.n_entries))
+            ref_i, ref_r = naive_running_max(row06, min(k_max, table06.n_entries))
             assert i_tmp == ref_i
             assert r_tmp == ref_r
 
@@ -265,7 +290,7 @@ class TestQuery:
         values = np.arange(1, 2001) * step
         pm, am = _prefix_max_argmax(values)
         fog = fog_from_alpha(0.06)
-        table = SoftResponseTable(fog.alpha, values, pm, am, sensor)
+        table = SoftResponseTable(fog.alpha, pm, am, sensor)
         monkeypatch.setattr(tables, "soft_response_integral", lambda r, *args: r)
         k = np.arange(1, 2001)
         ranges = {"product": k * step,
