@@ -159,7 +159,8 @@ def cmd_simulate(args) -> int:
         raise MalformedFileError(f"{args.input}: no points to foggify")
     t0 = time.perf_counter()
     outcome = foggify_cloud(cloud, fog, sensor, seed=args.seed,
-                            rescale=not args.no_rescale, table=table, workers=workers)
+                            rescale=not args.no_rescale, table=table, workers=workers,
+                            in_place=True)
     runtime_ms = (time.perf_counter() - t0) * 1e3
     write_cloud(outcome.cloud, args.output, fmt)
     if args.stats:
@@ -209,7 +210,7 @@ def cmd_sweep(args) -> int:
                                allow_nonfinite=args.allow_nonfinite)
             outcome = foggify_cloud(cloud, fogs[alpha], sensor, seed=args.seed ^ keys[name],
                                     rescale=not args.no_rescale, table=tables[alpha],
-                                    workers=1)
+                                    workers=1, in_place=True)
             write_cloud(outcome.cloud, os.path.join(args.output_dir, name), fmt)
         except Exception as exc:  # keep the batch going
             print(f"error: {name}: {exc}", file=sys.stderr)

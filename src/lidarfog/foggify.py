@@ -152,15 +152,17 @@ def sample_alpha(schedule: Sequence[float], draw: float) -> float:
     return schedule[min(int(draw * len(schedule)), len(schedule) - 1)]
 
 
-def _transform_block(xyz, inten, out_xyz, out_inten, soft, seed: int, lo: int,
+def _transform_block(xyz, inten, soft, seed: int, lo: int,
                      fog: FogParams, table: SoftResponseTable):
     """Vectorized per-point transform of one block; the single source of truth.
 
-    `xyz` (m, 3) and `inten` (m,) are the block's input rows, only read;
-    `out_xyz` and `out_inten` receive the transformed rows and `soft` (m,)
-    bool the relocated mask.  The block starts at cloud row `lo`; only its
-    relocated rows k are drawn, with `uniform01(seed, lo + k)`, and the
-    other rows keep their coordinates without any arithmetic.  Skipped
+    `xyz` (m, 3) and `inten` (m,) are the block's rows, transformed in
+    place: each is read before it is written (the overflow check reads
+    `inten` before the new intensities are stored, and the relocated rows
+    are gathered into a copy).  `soft` (m,) bool receives the relocated
+    mask.  The block starts at cloud row `lo`; only its relocated rows k
+    are drawn, with `uniform01(seed, lo + k)`, and the other rows keep
+    their coordinates without any arithmetic.  Skipped
     points (zero/overlong range, non-finite coordinates, negative or
     non-finite intensity) pass through unchanged; the return value counts
     them.  A fog return that overflows raises ValueError naming the point, or
@@ -170,8 +172,10 @@ def _transform_block(xyz, inten, out_xyz, out_inten, soft, seed: int, lo: int,
 
     The arithmetic runs in place on a few block-sized buffers (at most six
     float64 arrays live at once), which are freed before the relocated rows
-    are moved, with the operations, operands and order of the plain
-    expressions in the comments, so the bits are theirs.  In place is faster:
+    are gathered, with the operations, operands and order of the plain
+    expressions in the comments, so the bits are theirs.  The relocation
+    holds no more: with every row relocated it peaks below the lookup (1.58
+    against 1.62 MB traced for a 32768-row block).  In place is faster:
     plain peak comparisons took 5.70 against 5.29 ms on a 118,876-point scan
     (2 vCPUs) at about the same peak, and plain relocation of a 120k-point
     cloud went past `TestCloudPeakMemory`'s 9.20 MB two-thread bound.
@@ -191,10 +195,9 @@ def _transform_block(xyz, inten, out_xyz, out_inten, soft, seed: int, lo: int,
     valid &= inten < np.inf
     # sanitized rows keep the dead lanes free of stray inf/nan arithmetic:
     # r0s = where(valid, r0, 1.0) and inten_s = where(valid, inten, 0.0)
-    invalid = ~valid
-    np.copyto(r0s, 1.0, where=invalid)
+    np.copyto(r0s, 1.0, where=~valid)
     np.copyto(inten_s, inten)
-    np.copyto(inten_s, 0.0, where=invalid)
+    np.copyto(inten_s, 0.0, where=~valid)
 
     i_hard = hard_peak_intensity(inten_s, r0s, fog.alpha)
     i_tmp, r_tmp = _soft_max_at(table, r0s)
@@ -207,39 +210,47 @@ def _transform_block(xyz, inten, out_xyz, out_inten, soft, seed: int, lo: int,
         inten_s *= i_tmp
     np.greater(inten_s, i_hard, out=soft)
     soft &= valid
-    k = np.flatnonzero(soft)
     # an overflowed i_soft is inf, which beats the finite i_hard, so the
     # relocated rows hold every overflow (inf * 0 is NaN and never wins)
-    i_soft = inten_s[k]
-    if not np.isfinite(i_soft).all():
-        j = k[np.argmin(np.isfinite(i_soft))]  # the first overflowing row
+    overflow = np.flatnonzero(soft & ~np.isfinite(inten_s))
+    if overflow.size:
+        j = int(overflow[0])  # the first overflowing row
         r0 = float(r0s[j])
         if math.isfinite(r0 * r0 / fog.beta_0 * fog.beta * float(i_tmp[j])):  # unit intensity
             raise ValueError(f"point {lo + j} (intensity {float(inten[j])!r}, range {r0!r} m) "
                              "has a fog return that overflows")
         raise ValueError(f"the fog return overflows: beta={fog.beta} and "
                          f"beta_0={fog.beta_0} give a non-finite intensity")
-    np.copyto(out_inten, inten)
-    np.copyto(out_inten, i_hard, where=valid)
-    out_inten[k] = i_soft
-    # from here on only the relocated rows are read: free the block buffers
-    r0s, r_tmp = r0s[k], r_tmp[k]
-    del i_tmp, inten_s, i_hard, i_soft
+    np.copyto(inten, i_hard, where=valid)
+    np.copyto(inten, inten_s, where=soft)
+    n_skipped = valid.size - int(np.count_nonzero(valid))
+    # from here on only the relocated rows are read: free the block buffers,
+    # then gather the relocated rows of the two still needed, one at a time
+    del i_tmp, inten_s, i_hard, valid
+    k = np.flatnonzero(soft)
+    r0s = r0s[k]
+    r_tmp = r_tmp[k]
 
     # noise factor 2^p with p uniform in [-1, 1); the new range n * r_tmp is
     # applied along the unit direction so a median draw lands exactly on the
     # table argmax range.  `uniform01` is looked up as a module global at each
     # call, so a wrapper of `lidarfog.foggify.uniform01` (perfbench/spans.py,
     # tests that monkeypatch it) sees every draw
-    new_range = np.exp2(2.0 * uniform01(seed, lo + k) - 1.0)
+    # new_range = exp2(2.0 * uniform01(seed, lo + k) - 1.0) * r_tmp, in place
+    new_range = uniform01(seed, lo + k)
+    new_range *= 2.0
+    new_range -= 1.0
+    np.exp2(new_range, out=new_range)
     new_range *= r_tmp
-    # (xyz[k] / r0s[:, None]) * new_range[:, None]
+    del r_tmp
+    # (xyz[k] / r0s[:, None]) * new_range[:, None], a column at a time: the
+    # broadcast form stages a 64 KB buffer
     moved = xyz[k]
-    moved /= r0s[:, None]
-    moved *= new_range[:, None]
-    np.copyto(out_xyz, xyz)
-    out_xyz[k] = moved
-    return valid.size - int(np.count_nonzero(valid))
+    for col in moved.T:
+        col /= r0s
+        col *= new_range
+    xyz[k] = moved
+    return n_skipped
 
 
 def _check_table(table: SoftResponseTable, fog: FogParams, sensor: SensorModel):
@@ -259,6 +270,7 @@ def foggify_cloud(
     rescale: bool = True,
     table: Optional[SoftResponseTable] = None,
     workers: Optional[int] = None,
+    in_place: bool = False,
 ) -> FoggifyOutcome:
     """Apply the per-point transform to a whole cloud.
 
@@ -274,10 +286,15 @@ def foggify_cloud(
     the rescale factor applied.  Output is bit-identical for identical
     (cloud, fog, sensor, seed) regardless of `workers`.
 
-    The cloud's arrays are only read, so they may be read-only.  The output
-    xyz, intensity and uint8 provenance are allocated once and each block
-    fills its own rows; the rescale runs in place.  Besides the input and
-    the output, a call holds only each thread's block buffers.
+    By default the cloud's arrays are only read, so they may be read-only:
+    the output xyz and intensity are allocated once and each block copies
+    its own rows into them before transforming them.  With `in_place`, each
+    block transforms its rows in the cloud's own arrays, which must be
+    writable (ValueError before any row is written), and the outcome's cloud
+    is `cloud` itself; after an overflow error it holds a partial result.
+    The uint8 provenance is allocated once and the rescale runs in place.
+    Besides the cloud, the output (unless `in_place`) and the provenance, a
+    call holds only each thread's block buffers.
     """
     if workers is not None and not (isinstance(workers, numbers.Integral) and workers >= 1):
         raise ValueError(f"workers must be an integer of at least 1, got {workers!r}")
@@ -288,16 +305,22 @@ def foggify_cloud(
         table = build_table(fog, sensor)
     _check_table(table, fog, sensor)
 
-    # the outputs, filled block by block from the caller's rows, which are
-    # only read; provenance is written through a bool view of its bytes
-    xyz = np.empty((n, 3), dtype=np.float64)
-    inten = np.empty(n, dtype=np.float64)
+    if in_place:
+        if not (cloud.xyz.flags.writeable and cloud.intensity.flags.writeable):
+            raise ValueError("in_place needs a cloud with writable arrays")
+        out = cloud
+    else:
+        out = PointCloud(np.empty((n, 3), dtype=np.float64), np.empty(n, dtype=np.float64))
+    # provenance is written through a bool view of its bytes
     provenance = np.empty(n, dtype=np.uint8)
     soft = provenance.view(np.bool_)
 
     def run_block(lo: int, hi: int) -> int:
-        return _transform_block(cloud.xyz[lo:hi], cloud.intensity[lo:hi], xyz[lo:hi],
-                                inten[lo:hi], soft[lo:hi], seed, lo, fog, table)
+        xyz, inten = out.xyz[lo:hi], out.intensity[lo:hi]
+        if not in_place:
+            np.copyto(xyz, cloud.xyz[lo:hi])
+            np.copyto(inten, cloud.intensity[lo:hi])
+        return _transform_block(xyz, inten, soft[lo:hi], seed, lo, fog, table)
 
     blocks = [(lo, min(lo + _BLOCK_SIZE, n)) for lo in range(0, n, _BLOCK_SIZE)]
     if workers is None:
@@ -313,6 +336,7 @@ def foggify_cloud(
             n_skipped = sum(pool.map(lambda b: run_block(*b), blocks))
 
     rescale_factor = 1.0
+    inten = out.intensity
     max_out = float(inten.max())
     if not math.isfinite(max_out):  # NaN or inf passed through by skipped points
         max_out = float(inten[np.isfinite(inten)].max(initial=0.0))
@@ -328,4 +352,4 @@ def foggify_cloud(
 
     n_soft = int(np.count_nonzero(provenance))
     stats = CloudStats(n, n_soft, n_skipped, n_soft / n, rescale_factor)
-    return FoggifyOutcome(cloud=PointCloud(xyz, inten), provenance=provenance, stats=stats)
+    return FoggifyOutcome(cloud=out, provenance=provenance, stats=stats)

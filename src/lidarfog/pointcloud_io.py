@@ -6,7 +6,7 @@ ASCII PLY with the same four properties.  Binary round-trips are bit-exact.
 PLY text is streamed both ways.  The body is read by one `np.loadtxt` pass
 over the open file, whose rows become the cloud; a body loadtxt rejects is
 read once more to name the file's first line that is not 4 numbers.  It is
-written in blocks of `_PLY_WRITE_ROWS` rows, each formatted by numpy with
+written in blocks of `_IO_ROWS` rows, each formatted by numpy with
 the bytes of %.6f (`_ply_text`); a block holding NaN, inf or a magnitude of
 2**53 / 1e6 or more, which numpy cannot format exactly, goes through
 Python's % operator instead.
@@ -34,6 +34,9 @@ from .foggify import PointCloud
 BIN_KIND = "bin"
 PLY_KIND = "ply"
 DEFAULT_MATCH_TOLERANCE = 1e-3  # [m]
+# rows per bin read, bin write and PLY write block: bounds the float32 records
+# and the text held at once
+_IO_ROWS = 8192
 
 
 class MalformedFileError(Exception):
@@ -62,11 +65,15 @@ class CloudFormat:
             raise ValueError("column-count override applies to the binary format only")
 
 
-def _check_finite(rows: np.ndarray, path, allow_nonfinite: bool):
-    if allow_nonfinite:
-        return
-    if not np.all(np.isfinite(rows)):
-        bad = int(np.count_nonzero(~np.all(np.isfinite(rows), axis=1)))
+def _nonfinite_rows(rows: np.ndarray) -> int:
+    """How many rows hold a NaN or infinite value."""
+    finite = np.isfinite(rows)
+    return 0 if finite.all() else int(np.count_nonzero(~finite.all(axis=1)))
+
+
+def _check_finite(bad: int, path):
+    """Reject a file with `bad` rows that hold non-finite values."""
+    if bad:
         raise MalformedFileError(
             f"{path}: {bad} record(s) with non-finite values "
             "(pass allow_nonfinite to keep them)"
@@ -76,20 +83,37 @@ def _check_finite(rows: np.ndarray, path, allow_nonfinite: bool):
 def _read_bin(path, allow_nonfinite: bool, columns: int) -> PointCloud:
     """The records of a binary file as a cloud.
 
-    The float32 records stay as read; the finite check runs on them, and
-    `xyz` and `intensity` are widened to float64 once, straight from their
-    float32 columns, so no float64 copy of the whole record array is made.
+    The size is taken from the open file.  The records are read in blocks of
+    `_IO_ROWS` through one reused float32 buffer, and each block is counted
+    for the finite check and widened straight into the float64 `xyz` and
+    `intensity`, so the call holds the cloud and one block.  A file that
+    ends before the size it had when opened is malformed.
     """
     record_bytes = 4 * columns
-    size = os.path.getsize(path)
-    if size % record_bytes != 0:
-        raise MalformedFileError(
-            f"{path}: size {size} is not a multiple of the {record_bytes}-byte record"
-        )
     with open(path, "rb") as fh:
-        rows = np.fromfile(fh, dtype="<f4").reshape(-1, columns)[:, :4]
-    _check_finite(rows, path, allow_nonfinite)
-    return PointCloud(rows[:, :3].astype(np.float64), rows[:, 3].astype(np.float64))
+        size = os.fstat(fh.fileno()).st_size
+        if size % record_bytes != 0:
+            raise MalformedFileError(
+                f"{path}: size {size} is not a multiple of the {record_bytes}-byte record"
+            )
+        n = size // record_bytes
+        xyz = np.empty((n, 3), dtype=np.float64)
+        inten = np.empty(n, dtype=np.float64)
+        buf = np.empty((min(n, _IO_ROWS), columns), dtype="<f4")
+        bad = 0
+        for lo in range(0, n, _IO_ROWS):
+            block = buf[:min(n - lo, _IO_ROWS)]
+            got = fh.readinto(block)
+            if got != block.nbytes:
+                raise MalformedFileError(f"{path}: file ended at byte {lo * record_bytes + got} "
+                                         f"of the {size} it had when opened")
+            rows = block[:, :4]
+            if not allow_nonfinite:
+                bad += _nonfinite_rows(rows)
+            xyz[lo:lo + len(block)] = rows[:, :3]
+            inten[lo:lo + len(block)] = rows[:, 3]
+    _check_finite(bad, path)
+    return PointCloud(xyz, inten)
 
 
 _PLY_HEADER = """ply
@@ -102,7 +126,6 @@ property float intensity
 end_header
 """
 _PLY_ROW = "%.6f %.6f %.6f %.6f\n"
-_PLY_WRITE_ROWS = 8192  # rows formatted per write: bounds the text held at once
 # numpy lays each value's text right-aligned in a row of _PLY_FIELD bytes: a
 # sign and 10 integer digits, the point at column _PLY_POINT, 6 decimals and
 # the separator
@@ -187,7 +210,8 @@ def _read_ply(path, allow_nonfinite: bool) -> PointCloud:
     if rows.shape != (n, 4):
         raise MalformedFileError(f"{path}: header declares {n} vertices of 4 values, "
                                  f"found {rows.shape[0]} rows of {rows.shape[1]}")
-    _check_finite(rows, path, allow_nonfinite)
+    if not allow_nonfinite:
+        _check_finite(_nonfinite_rows(rows), path)
     return PointCloud(rows[:, :3], rows[:, 3])
 
 
@@ -249,34 +273,35 @@ def _ply_text(block: np.ndarray):
 def write_cloud(cloud: PointCloud, path, fmt: CloudFormat = CloudFormat()) -> None:
     """Write a cloud atomically (temp file + rename).
 
-    Both formats first narrow the cloud to one float32 (n, 4) record array,
-    filled column by column with the cast of `astype`, so no float64 copy of
-    the cloud is made.  Binary output writes those records (reading them
-    back reproduces them bit-exactly).  PLY text keeps six decimals, good to
-    5e-7 absolute per coordinate: each block of `_PLY_WRITE_ROWS` rows is
-    formatted by numpy (`_ply_text`), or with Python's %.6f when it holds a
-    value numpy cannot format exactly.
+    Both formats narrow the cloud `_IO_ROWS` rows at a time into one reused
+    float32 (B, 4) buffer, filled column by column with the cast of
+    `astype`, so no whole-cloud record array is made.  Binary output writes
+    each block's records (reading them back reproduces them bit-exactly).
+    PLY text keeps six decimals, good to 5e-7 absolute per coordinate: each
+    block is formatted by numpy (`_ply_text`), or with Python's %.6f when it
+    holds a value numpy cannot format exactly.
     """
-    rows32 = np.empty((len(cloud), 4), dtype="<f4")
-    rows32[:, :3] = cloud.xyz
-    rows32[:, 3] = cloud.intensity
+    n = len(cloud)
+    buf = np.empty((min(n, _IO_ROWS), 4), dtype="<f4")
     tmp = f"{path}.tmp{os.getpid()}"
     try:
-        if fmt.kind == BIN_KIND:
-            with open(tmp, "wb") as fh:
-                rows32.tofile(fh)
-        else:
-            with open(tmp, "wb") as fh:
-                fh.write(_PLY_HEADER.format(n=len(cloud)).encode("ascii"))
-                for lo in range(0, len(rows32), _PLY_WRITE_ROWS):
-                    block = rows32[lo:lo + _PLY_WRITE_ROWS]
-                    text = _ply_text(block)
-                    if text is None:
-                        # %.6f of a float32 widened to a Python float is the text
-                        # of f"{np.float32(x):.6f}", nan, inf and -0.0 included
-                        text = (_PLY_ROW * len(block)) % tuple(block.ravel().tolist())
-                        text = text.encode("ascii")
-                    fh.write(text)
+        with open(tmp, "wb") as fh:
+            if fmt.kind == PLY_KIND:
+                fh.write(_PLY_HEADER.format(n=n).encode("ascii"))
+            for lo in range(0, n, _IO_ROWS):
+                block = buf[:min(n - lo, _IO_ROWS)]
+                block[:, :3] = cloud.xyz[lo:lo + len(block)]
+                block[:, 3] = cloud.intensity[lo:lo + len(block)]
+                if fmt.kind == BIN_KIND:
+                    fh.write(block)
+                    continue
+                text = _ply_text(block)
+                if text is None:
+                    # %.6f of a float32 widened to a Python float is the text
+                    # of f"{np.float32(x):.6f}", nan, inf and -0.0 included
+                    text = (_PLY_ROW * len(block)) % tuple(block.ravel().tolist())
+                    text = text.encode("ascii")
+                fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

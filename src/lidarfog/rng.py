@@ -20,13 +20,23 @@ def uniform01(seed: int, index):
     `index` may be a scalar (giving a numpy float64) or an integer array;
     vectorized evaluation is bit-identical to element-wise evaluation.
     """
-    idx = np.asarray(index, dtype=np.uint64)
+    # the splitmix64 steps run in place on one new uint64 array (0-d for a
+    # scalar); addition and multiplication wrap modulo 2**64
+    z = np.array(index, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        z = np.uint64(seed & _MASK64) + (idx + np.uint64(1)) * np.uint64(_GOLDEN_GAMMA)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_2)
-        z = z ^ (z >> np.uint64(31))
-    return (z >> np.uint64(11)) * _TO_UNIT
+        z += np.uint64(1)
+        z *= np.uint64(_GOLDEN_GAMMA)
+        z += np.uint64(seed & _MASK64)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX_1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX_2)
+        z ^= z >> np.uint64(31)
+        z >>= np.uint64(11)
+    # widened first: a uint64-by-float multiply would stage the cast in a buffer
+    u = z.astype(np.float64)
+    u *= _TO_UNIT
+    return u[()]  # a numpy float64 for a scalar index
 
 
 def stable_key64(name: str) -> int:

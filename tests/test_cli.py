@@ -189,6 +189,35 @@ class TestSimulate:
         assert rc == 1
         assert str(empty) in capsys.readouterr().err
 
+    def test_input_truncated_after_its_size_is_taken_exits_1(self, tmp_path, cloud_file,
+                                                               capsys, monkeypatch):
+        # the file loses 12 bytes, leaving 41 floats, just after the reader
+        # takes its size, by path or from the open file
+        size = cloud_file.stat().st_size
+        inode = cloud_file.stat().st_ino
+        getsize, fstat = os.path.getsize, os.fstat
+
+        def getsize_then_truncate(path):
+            got = getsize(path)
+            if os.path.samefile(path, cloud_file):
+                os.truncate(cloud_file, 164)
+            return got
+
+        def fstat_then_truncate(fd):
+            got = fstat(fd)
+            if got.st_ino == inode:
+                os.truncate(cloud_file, 164)
+            return got
+
+        assert size > 164 and size % 16 == 0
+        monkeypatch.setattr(os.path, "getsize", getsize_then_truncate)
+        monkeypatch.setattr(os, "fstat", fstat_then_truncate)
+        out = tmp_path / "o.bin"
+        assert main(["simulate", "--input", str(cloud_file), "--output", str(out),
+                     "--alpha", "0.06"]) == 1
+        assert f"error: {cloud_file}: file ended at byte " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_output_onto_a_directory_exits_1_and_leaves_no_temp(self, tmp_path, cloud_file,
                                                                 capsys):
         out = tmp_path / "out"

@@ -8,6 +8,7 @@ import pytest
 
 from lidarfog import (
     DEFAULT_ALPHA_SCHEDULE,
+    CloudFormat,
     FogParams,
     PointCloud,
     Provenance,
@@ -20,7 +21,9 @@ from lidarfog import (
     mor_to_alpha,
     mor_to_beta,
     query_soft_max,
+    read_cloud,
     sample_alpha,
+    write_cloud,
 )
 from lidarfog import foggify
 from lidarfog.optics import MAX_RANGE
@@ -524,6 +527,76 @@ class TestCallerArraysUntouched:
         monkeypatch.setattr(foggify, "_BLOCK_SIZE", 999)
         with pytest.raises(ValueError, match="overflows"):
             foggify_cloud(cloud, fog, sensor, table=table, workers=workers)
+        assert (cloud.xyz.tobytes(), cloud.intensity.tobytes()) == before
+
+
+class TestInPlace:
+    """`in_place=True` transforms the cloud's own arrays into the bits, the
+    provenance and the stats of the copying call, and returns the cloud."""
+
+    @staticmethod
+    def copy_of(cloud):
+        return PointCloud(cloud.xyz.copy(), cloud.intensity.copy())
+
+    @staticmethod
+    def assert_same_outcome(out, ref):
+        assert out.cloud.xyz.tobytes() == ref.cloud.xyz.tobytes()
+        assert out.cloud.intensity.tobytes() == ref.cloud.intensity.tobytes()
+        assert out.provenance.tobytes() == ref.provenance.tobytes()
+        assert out.stats == ref.stats
+
+    @pytest.mark.parametrize("workers", [1, 2, None])
+    @pytest.mark.parametrize("rescale", [True, False])
+    def test_matches_copying_call(self, fog06, table06, sensor, monkeypatch, workers, rescale):
+        monkeypatch.setattr(foggify, "_BLOCK_SIZE", 999)
+        cloud = random_cloud(9_000, seed=51, span=150.0)  # 10 blocks: 2 threads by default
+        ref = foggify_cloud(cloud, fog06, sensor, seed=4, table=table06, workers=workers,
+                            rescale=rescale)
+        assert 0 < ref.stats.n_soft_replaced < 9_000
+        mine = self.copy_of(cloud)
+        out = foggify_cloud(mine, fog06, sensor, seed=4, table=table06, workers=workers,
+                            rescale=rescale, in_place=True)
+        assert out.cloud is mine
+        self.assert_same_outcome(out, ref)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_skipped_points(self, fog06, table06, sensor, monkeypatch, workers):
+        monkeypatch.setattr(foggify, "_BLOCK_SIZE", 999)
+        cloud = random_cloud(3_000, seed=52, span=260.0)
+        cloud.xyz[5::89, 1] = np.nan
+        cloud.xyz[::97] = 0.0
+        cloud.xyz[3::71] = -0.0
+        cloud.intensity[7::83] = -1.0
+        cloud.intensity[11::103] = np.nan
+        ref = foggify_cloud(cloud, fog06, sensor, seed=6, table=table06, workers=workers)
+        assert ref.stats.n_skipped > 0 and ref.stats.n_soft_replaced > 0
+        assert np.any(np.linalg.norm(cloud.xyz, axis=1) > MAX_RANGE)
+        out = foggify_cloud(self.copy_of(cloud), fog06, sensor, seed=6, table=table06,
+                            workers=workers, in_place=True)
+        self.assert_same_outcome(out, ref)
+
+    def test_ply_read_cloud(self, fog06, table06, sensor, tmp_path, monkeypatch):
+        path = tmp_path / "scan.ply"
+        write_cloud(random_cloud(2_500, seed=53), path, CloudFormat("ply"))
+        ref = foggify_cloud(read_cloud(path, CloudFormat("ply")), fog06, sensor, seed=2,
+                            table=table06)
+        cloud = read_cloud(path, CloudFormat("ply"))
+        # both columns are strided views of one row array
+        assert cloud.xyz.base is not None and cloud.xyz.base is cloud.intensity.base
+        assert not cloud.xyz.flags.c_contiguous
+        monkeypatch.setattr(foggify, "_BLOCK_SIZE", 999)
+        out = foggify_cloud(cloud, fog06, sensor, seed=2, table=table06, workers=2,
+                            in_place=True)
+        assert out.cloud is cloud
+        self.assert_same_outcome(out, ref)
+
+    @pytest.mark.parametrize("frozen", ["xyz", "intensity"])
+    def test_read_only_cloud_rejected_before_any_write(self, fog06, table06, sensor, frozen):
+        cloud = random_cloud(2_000, seed=54)
+        getattr(cloud, frozen).setflags(write=False)
+        before = cloud.xyz.tobytes(), cloud.intensity.tobytes()
+        with pytest.raises(ValueError, match="writable"):
+            foggify_cloud(cloud, fog06, sensor, table=table06, in_place=True)
         assert (cloud.xyz.tobytes(), cloud.intensity.tobytes()) == before
 
 

@@ -21,7 +21,7 @@ from lidarfog import (
 )
 from lidarfog import pointcloud_io
 from lidarfog.cli import main
-from lidarfog.pointcloud_io import _PLY_HEADER, _PLY_WRITE_ROWS
+from lidarfog.pointcloud_io import _PLY_HEADER, _IO_ROWS
 
 from oracles import brute_force_match_mask
 
@@ -253,14 +253,14 @@ class TestPlyFormat:
         ply_text = pointcloud_io._ply_text
         monkeypatch.setattr(pointcloud_io, "_ply_text", second_block_fails)
         with pytest.raises(RuntimeError, match="block 2 failed"):
-            write_cloud(f32_cloud(2 * _PLY_WRITE_ROWS + 1), tmp_path / "w.ply", PLY)
-        assert blocks == [_PLY_WRITE_ROWS, _PLY_WRITE_ROWS]
+            write_cloud(f32_cloud(2 * _IO_ROWS + 1), tmp_path / "w.ply", PLY)
+        assert blocks == [_IO_ROWS, _IO_ROWS]
         assert list(tmp_path.iterdir()) == []
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(rows=hnp.arrays(np.float32, st.tuples(st.integers(1, 16), st.just(4)),
                            elements=st.floats(width=32) | st.sampled_from(F32_SPECIALS)),
-           n=st.sampled_from((0, 1, 5, _PLY_WRITE_ROWS, _PLY_WRITE_ROWS + 1)))
+           n=st.sampled_from((0, 1, 5, _IO_ROWS, _IO_ROWS + 1)))
     def test_block_writer_matches_row_writer(self, tmp_path_factory, rows, n):
         rows = np.resize(rows, (n, 4)).astype(np.float64)
         cloud = PointCloud(rows[:, :3], rows[:, 3])
@@ -278,17 +278,17 @@ class TestPlyFormat:
         # included, with ties and the edge value below 2**53 / 1e6 scattered
         # in; each spoiled block also holds one value only %.6f formats
         rng = np.random.default_rng(seed)
-        n = 2 * _PLY_WRITE_ROWS + 5
+        n = 2 * _IO_ROWS + 5
         bits = rng.integers(0, 2 ** 32, 4 * n, dtype=np.uint32) & np.uint32(0x807FFFFF)
         bits |= rng.integers(0, 127 + 33, 4 * n, dtype=np.uint32) << np.uint32(23)
         values = bits.view(np.float32)
         values[rng.integers(0, 4 * n, 64)] = rng.choice((*F32_TIES, F32_WIDE_EDGE), 64)
         for k, spoil in enumerate(spoiled):
             if spoil:
-                values[4 * (k * _PLY_WRITE_ROWS + rng.integers(0, 5))] = special
+                values[4 * (k * _IO_ROWS + rng.integers(0, 5))] = special
         rows = values.reshape(n, 4)
         for k, spoil in enumerate(spoiled):
-            block = rows[k * _PLY_WRITE_ROWS:(k + 1) * _PLY_WRITE_ROWS]
+            block = rows[k * _IO_ROWS:(k + 1) * _IO_ROWS]
             assert (pointcloud_io._ply_text(block) is None) == spoil
         cloud = PointCloud(rows[:, :3].astype(np.float64), rows[:, 3].astype(np.float64))
         path = tmp_path_factory.mktemp("ply") / "w.ply"

@@ -26,7 +26,7 @@ from lidarfog import (
 from lidarfog import foggify, optics, tables
 from lidarfog.cli import main
 from lidarfog.optics import MAX_RANGE, RANGE_STEP
-from lidarfog.pointcloud_io import _PLY_WRITE_ROWS
+from lidarfog.pointcloud_io import _IO_ROWS
 from lidarfog.tables import _prefix_max_argmax
 
 from oracles import naive_running_max
@@ -148,12 +148,16 @@ def traced_peak(fn):
 class TestCloudPeakMemory:
     """Budgets in the cloud's bytes C = 32 n (float64 xyz and intensity).
 
-    The bin path holds the input cloud, its output and a few block buffers
-    per thread, never a staging copy of a whole cloud.  With whole-cloud
-    copies, float64 record staging and 65536-row blocks, the same calls
-    peaked at 2.9 C (1 worker) and 2.9-4.1 C (2 workers) for
-    `foggify_cloud`, 2.0 C for the read and 1.5 C for the write.  A PLY
-    read that copied the rows' columns into the cloud peaked at 2.0 C.
+    The CLI's bin path holds one float64 cloud per file: the read widens
+    one block of float32 records at a time into the cloud, `simulate` and
+    `sweep` foggify it in place with a few block buffers per thread, and
+    the write narrows one block at a time.  No stage makes a staging copy
+    of a whole cloud.  With whole-cloud copies, float64 record staging and
+    65536-row blocks, the same calls peaked at 2.9 C (1 worker) and 2.9-4.1
+    C (2 workers) for `foggify_cloud`, 2.0 C for the read and 1.5 C for the
+    write; with whole-cloud float32 records, 1.5 C for the read, 0.5 C for
+    the bin write and 1.2 C for the PLY write.  A PLY read that copied the
+    rows' columns into the cloud peaked at 2.0 C.
     """
 
     N = 120_000
@@ -178,29 +182,38 @@ class TestCloudPeakMemory:
         threads = workers or 1
         assert peak < 32 * self.N + self.N + threads * self.BLOCK_WORKSET
 
+    @pytest.mark.parametrize("workers", [1, 2, None])
+    def test_foggify_in_place_holds_only_block_buffers(self, cloud, table06, fog06, sensor,
+                                                       workers):
+        mine = PointCloud(cloud.xyz.copy(), cloud.intensity.copy())
+        peak = traced_peak(lambda: foggify_cloud(mine, fog06, sensor, seed=1, table=table06,
+                                                 workers=workers, in_place=True))
+        # the uint8 provenance (n) and the block buffers; no output cloud
+        threads = workers or 1
+        assert peak < self.N + threads * self.BLOCK_WORKSET
+
     def test_bin_read_widens_without_staging(self, cloud, tmp_path):
         path = tmp_path / "scan.bin"
         write_cloud(cloud, path)
         peak = traced_peak(lambda: read_cloud(path, CloudFormat("bin")))
-        # the float32 records (C / 2) and the float64 cloud (C)
-        assert peak < 1.6 * 32 * self.N
+        # the float64 cloud (C) and one block of float32 records
+        assert peak < 1.1 * 32 * self.N
 
     def test_bin_write_stages_only_float32_records(self, cloud, tmp_path):
         peak = traced_peak(lambda: write_cloud(cloud, tmp_path / "out.bin"))
-        # the float32 records (C / 2)
-        assert peak < 0.6 * 32 * self.N
+        # one block of float32 records: no whole-cloud record array
+        assert peak < 0.1 * 32 * self.N
 
-    # per value of one _PLY_WRITE_ROWS block: its float64 and integer forms, the
+    # per value of one _IO_ROWS block: its float64 and integer forms, the
     # 19-byte text field, the mask of its bytes and the text kept
-    PLY_BLOCK_WORKSET = 100 * 4 * _PLY_WRITE_ROWS
+    PLY_BLOCK_WORKSET = 100 * 4 * _IO_ROWS
 
     def test_ply_write_holds_records_and_one_block(self, cloud, tmp_path):
         peak = traced_peak(lambda: write_cloud(cloud, tmp_path / "out.ply", CloudFormat("ply")))
-        # the float32 records (C / 2) and one block's work arrays, below the
-        # join's budget, so the write never sets an `intersect` run's peak
-        budget = 0.5 * 32 * self.N + self.PLY_BLOCK_WORKSET
-        assert budget < self.JOIN_BUDGET
-        assert peak < budget
+        # one block's records and work arrays, below the join's budget, so
+        # the write never sets an `intersect` run's peak
+        assert self.PLY_BLOCK_WORKSET < self.JOIN_BUDGET
+        assert peak < self.PLY_BLOCK_WORKSET
 
     def test_ply_read_holds_one_row_array(self, cloud, tmp_path):
         path = tmp_path / "scan.ply"
