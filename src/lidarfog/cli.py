@@ -25,6 +25,7 @@ import numpy as np
 from .foggify import (
     DEFAULT_ALPHA_SCHEDULE,
     FoggifyOutcome,
+    _map_threads,
     alpha_to_mor,
     fog_from_alpha,
     fog_from_mor,
@@ -176,9 +177,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    # the file threads are this command's alone; only it pays for the import
-    from concurrent.futures import ThreadPoolExecutor
-
     sensor = _sensor_from_args(args)
     fmt = _fmt_from_args(args)
     workers = _workers_from_args(args) or os.cpu_count() or 1
@@ -217,8 +215,7 @@ def cmd_sweep(args) -> int:
             return str(exc)
         return None
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        failures = {n: e for n, e in zip(names, pool.map(process, names)) if e is not None}
+    failures = {n: e for n, e in zip(names, _map_threads(process, names, workers)) if e is not None}
 
     manifest = {
         "schema_version": MANIFEST_SCHEMA_VERSION,

@@ -194,7 +194,8 @@ def _transform_block(xyz, inten, soft, seed: int, lo: int,
     valid &= inten >= 0.0
     valid &= inten < np.inf
     # sanitized rows keep the dead lanes free of stray inf/nan arithmetic:
-    # r0s = where(valid, r0, 1.0) and inten_s = where(valid, inten, 0.0)
+    # r0s = where(valid, r0, 1.0) and inten_s = where(valid, inten, 0.0), so
+    # there i_soft = i_hard = 0 (finite beta and table, beta_0 > 0): not soft
     np.copyto(r0s, 1.0, where=~valid)
     np.copyto(inten_s, inten)
     np.copyto(inten_s, 0.0, where=~valid)
@@ -209,7 +210,6 @@ def _transform_block(xyz, inten, soft, seed: int, lo: int,
         inten_s *= fog.beta
         inten_s *= i_tmp
     np.greater(inten_s, i_hard, out=soft)
-    soft &= valid
     # an overflowed i_soft is inf, which beats the finite i_hard, so the
     # relocated rows hold every overflow (inf * 0 is NaN and never wins)
     overflow = np.flatnonzero(soft & ~np.isfinite(inten_s))
@@ -251,6 +251,18 @@ def _transform_block(xyz, inten, soft, seed: int, lo: int,
         col *= new_range
     xyz[k] = moved
     return n_skipped
+
+
+def _map_threads(fn, items, workers: int) -> list:
+    """`[fn(item) for item in items]`, on `workers` threads when there are at
+    least two workers and two items.  `concurrent.futures` pulls in logging,
+    so it is imported only where threads start."""
+    if workers < 2 or len(items) < 2:
+        return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 def _check_table(table: SoftResponseTable, fog: FogParams, sensor: SensorModel):
@@ -315,25 +327,18 @@ def foggify_cloud(
     provenance = np.empty(n, dtype=np.uint8)
     soft = provenance.view(np.bool_)
 
-    def run_block(lo: int, hi: int) -> int:
+    def run_block(lo: int) -> int:
+        hi = lo + _BLOCK_SIZE  # the slices stop at n
         xyz, inten = out.xyz[lo:hi], out.intensity[lo:hi]
         if not in_place:
             np.copyto(xyz, cloud.xyz[lo:hi])
             np.copyto(inten, cloud.intensity[lo:hi])
         return _transform_block(xyz, inten, soft[lo:hi], seed, lo, fog, table)
 
-    blocks = [(lo, min(lo + _BLOCK_SIZE, n)) for lo in range(0, n, _BLOCK_SIZE)]
+    starts = range(0, n, _BLOCK_SIZE)
     if workers is None:
-        workers = min(len(blocks) // _BLOCKS_PER_THREAD, os.cpu_count() or 1)
-    if workers <= 1 or len(blocks) == 1:
-        n_skipped = sum(run_block(lo, hi) for lo, hi in blocks)
-    else:
-        # imported where threads start: it pulls in logging, which a
-        # one-block or one-worker call never needs
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            n_skipped = sum(pool.map(lambda b: run_block(*b), blocks))
+        workers = min(len(starts) // _BLOCKS_PER_THREAD, os.cpu_count() or 1)
+    n_skipped = sum(_map_threads(run_block, starts, workers))
 
     rescale_factor = 1.0
     inten = out.intensity

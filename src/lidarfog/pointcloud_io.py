@@ -133,18 +133,16 @@ _PLY_FIELD = 19
 _PLY_POINT = 11
 
 
-def _read_ply_header(fh, path) -> int:
-    """Consume the header through `end_header`; return the vertex count."""
+def _read_ply_header(fh, path):
+    """Consume the header through `end_header`; return its vertex and line counts."""
     if fh.readline().strip() != "ply":
         raise MalformedFileError(f"{path}: missing ply magic line")
     if fh.readline().strip() != "format ascii 1.0":
         raise MalformedFileError(f"{path}: unsupported ply layout")
     n = None
     props = []
-    while True:
-        raw = fh.readline()
-        if not raw:
-            raise MalformedFileError(f"{path}: missing end_header")
+    # readline, not iteration, so that the caller can still tell() the body's offset
+    for lines, raw in enumerate(iter(fh.readline, ""), 3):
         ln = raw.strip()
         if ln == "end_header":
             break
@@ -155,9 +153,11 @@ def _read_ply_header(fh, path) -> int:
                 n = -1  # reported as an unsupported layout below
         elif ln.startswith("property "):
             props.append(ln.split()[-1])
+    else:
+        raise MalformedFileError(f"{path}: missing end_header")
     if n is None or n < 0 or props != ["x", "y", "z", "intensity"]:
         raise MalformedFileError(f"{path}: unsupported ply layout")
-    return n
+    return n, lines
 
 
 def _is_number(token: str) -> bool:
@@ -169,15 +169,11 @@ def _is_number(token: str) -> bool:
     return "_" not in token
 
 
-def _first_bad_line(fh):
-    """`line L: ...` for the first body line of `fh` that is not 4 numbers,
-    L counted from the file's first line; None when every line is."""
-    fh.seek(0)
-    lines = enumerate(fh, 1)
-    for _, raw in lines:
-        if raw.strip() == "end_header":
-            break
-    for lineno, raw in lines:
+def _first_bad_line(fh, start, header_lines: int):
+    """`line L: ...` (L counted from the file's first line) for the first body
+    line of `fh`, read from offset `start`, that is not 4 numbers, else None."""
+    fh.seek(start)
+    for lineno, raw in enumerate(fh, header_lines + 1):
         parts = raw.split()
         if parts and len(parts) != 4:
             return f"line {lineno}: {len(parts)} values, expected 4"
@@ -195,14 +191,15 @@ def _read_ply(path, allow_nonfinite: bool) -> PointCloud:
     again to name the first line that is not 4 numbers."""
     try:
         with open(path, "r", encoding="ascii") as fh:
-            n = _read_ply_header(fh, path)
+            n, header_lines = _read_ply_header(fh, path)
             start = fh.tell()
             if any(raw.strip() for raw in iter(fh.readline, "")):
                 fh.seek(start)
                 try:
                     rows = np.loadtxt(fh, dtype=np.float64, comments=None, ndmin=2)
                 except ValueError as exc:
-                    raise MalformedFileError(f"{path}: {_first_bad_line(fh) or exc}") from None
+                    bad = _first_bad_line(fh, start, header_lines) or exc
+                    raise MalformedFileError(f"{path}: {bad}") from None
             else:
                 rows = np.empty((0, 4))  # loadtxt warns on a body without data
     except UnicodeDecodeError:

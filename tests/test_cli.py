@@ -703,9 +703,13 @@ class TestImports:
     def test_only_sweep_loads_hashlib_and_thread_pools(self, tmp_path):
         # hashlib maps OpenSSL (~3.6 MB) to key sweep's files, and
         # concurrent.futures brings logging; the other commands need neither,
-        # and `simulate` starts no block thread on a KITTI-sized scan (4 blocks)
+        # and `simulate` starts no block thread on a KITTI-sized scan (4 blocks).
+        # A sweep starts file threads only with two workers and two files
         (tmp_path / "in").mkdir()
+        (tmp_path / "in2").mkdir()
         rows = make_bin(tmp_path / "in" / "scan.bin", n=200, seed=4)
+        make_bin(tmp_path / "in2" / "a.bin", n=200, seed=6)
+        make_bin(tmp_path / "in2" / "b.bin", n=200, seed=7)
         make_bin(tmp_path / "kitti.bin", n=120_000, seed=5)
         (tmp_path / "last.bin").write_bytes(rows[::2].tobytes())
         src = os.path.dirname(os.path.dirname(lidarfog.__file__))
@@ -724,8 +728,15 @@ class TestImports:
             assert main(["simulate", "--input", "kitti.bin", "--output", "kitti_fog.bin",
                          "--alpha", "0.06"]) == 0
             assert loaded() == [], ("intersect, simulate", loaded())
-            assert main(["sweep", "--input-dir", "in", "--output-dir", "out"]) == 0
-            assert loaded() == ["hashlib", "concurrent.futures"], ("sweep", loaded())
+            assert main(["sweep", "--input-dir", "in", "--output-dir", "out",
+                         "--workers", "2"]) == 0
+            assert loaded() == ["hashlib"], ("one-file sweep", loaded())
+            assert main(["sweep", "--input-dir", "in2", "--output-dir", "out1",
+                         "--workers", "1"]) == 0
+            assert loaded() == ["hashlib"], ("one-worker sweep", loaded())
+            assert main(["sweep", "--input-dir", "in2", "--output-dir", "out2",
+                         "--workers", "2"]) == 0
+            assert loaded() == ["hashlib", "concurrent.futures"], ("two-worker sweep", loaded())
         """)
         proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
                               capture_output=True, text=True, timeout=60)

@@ -339,12 +339,17 @@ class TestPlyFormat:
         ("5 6 7", "3 values, expected 4"),
     ], ids=["bad-token", "short-line"])
     def test_body_error_names_line_of_file(self, tmp_path, blank, line, fault):
-        path = ply_file(tmp_path / "bad.ply", 3, blank + "1 2 3 4\n" + line + "\n9 9 9 9\n")
-        # 8 header lines, the blank lines, the first data line
-        lineno = 8 + len(blank) + 2
-        with pytest.raises(MalformedFileError) as err:
-            read_cloud(path, PLY)
-        assert str(err.value) == f"{path}: line {lineno}: {fault}"
+        body = blank + "1 2 3 4\n" + line + "\n9 9 9 9\n"
+        # the written header of 8 lines, and one with comment and obj_info lines
+        commented = _PLY_HEADER.replace("element", "comment by hand\nobj_info scan 7\nelement")
+        for header in (_PLY_HEADER, commented):
+            path = tmp_path / "bad.ply"
+            path.write_bytes((header.format(n=3) + body).encode("ascii"))
+            # the header lines, the blank lines, the first data line
+            lineno = header.count("\n") + len(blank) + 2
+            with pytest.raises(MalformedFileError) as err:
+                read_cloud(path, PLY)
+            assert str(err.value) == f"{path}: line {lineno}: {fault}"
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(rows=st.lists(st.lists(st.sampled_from(

@@ -4,8 +4,9 @@ The benchmark's tracer reaches lidarfog through the bindings listed in
 `perfbench/spans.py` (``TARGETS``); an API cut that drops one of them makes
 ``perfbench/run.py --trace 1`` fail while every other test passes.  The
 README's Python API example is run as written, and the names it documents
-are exported."""
+are exported.  `--config` knows every boolean flag of the CLI."""
 
+import argparse
 import importlib
 import importlib.util
 import re
@@ -14,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 import lidarfog
+from lidarfog import cli
 from lidarfog.foggify import _BLOCK_SIZE, _BLOCKS_PER_THREAD
 from lidarfog.pointcloud_io import _PAIR_BUDGET
 
@@ -83,3 +85,16 @@ def test_readme_thread_rule_is_the_code_figure():
 def test_every_exported_name_resolves():
     missing = [name for name in lidarfog.__all__ if not hasattr(lidarfog, name)]
     assert not missing
+
+
+def test_config_bool_keys_are_the_zero_argument_flags():
+    # `--config` turns `key = true` into a bare flag only for the keys in
+    # _BOOL_FLAGS; any other key is passed as `--key=value`, which a
+    # store_true flag rejects
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(commands.choices) == {"simulate", "sweep", "response", "intersect"}
+    flags = {opt[2:] for p in commands.choices.values() for a in p._actions
+             if a.nargs == 0 and not isinstance(a, argparse._HelpAction)
+             for opt in a.option_strings if opt.startswith("--")}
+    assert flags == cli._BOOL_FLAGS
