@@ -8,8 +8,9 @@ or it is pulled to the fog-return range (jittered by a bounded noise factor
 so relocated points do not collapse onto a perfect circle).
 
 Noise draws are counter-based on (seed, point index) and the cloud is
-processed in fixed-size blocks, so results are bit-identical regardless of
-worker count or point order.
+processed in fixed-size blocks, so results are bit-identical across reruns,
+worker counts and block sizes.  A point's draw is keyed by its row index,
+so reordering the points changes which draw each relocated point gets.
 """
 
 import math
@@ -29,7 +30,7 @@ from .optics import (
     hard_peak_intensity,
 )
 from .rng import uniform01
-from .tables import SoftResponseTable, _soft_max_at, build_table
+from .tables import SoftResponseTable, _lookup, build_table, query_soft_max
 
 # training-style attenuation schedule: clear air through dense fog (MOR 50 m)
 DEFAULT_ALPHA_SCHEDULE = (0.0, 0.005, 0.01, 0.02, 0.03, 0.06)
@@ -167,26 +168,29 @@ def _transform_block(xyz, inten, soft, seed: int, lo: int,
     non-finite intensity) pass through unchanged; the return value counts
     them.  A fog return that overflows raises ValueError naming the point, or
     beta and beta_0 if it overflows at unit intensity.  The table is read with
-    `_soft_max_at`, the lookup of `query_soft_max`, and the hard peak comes
+    `tables._lookup`, the lookup of `query_soft_max`, and the hard peak comes
     from `hard_peak_intensity`.
 
-    The arithmetic runs in place on a few block-sized buffers (at most six
-    float64 arrays live at once), which are freed before the relocated rows
-    are gathered, with the operations, operands and order of the plain
-    expressions in the comments, so the bits are theirs.  The relocation
-    holds no more: with every row relocated it peaks below the lookup (1.58
-    against 1.62 MB traced for a 32768-row block).  In place is faster:
-    plain peak comparisons took 5.70 against 5.29 ms on a 118,876-point scan
-    (2 vCPUs) at about the same peak, and plain relocation of a 120k-point
-    cloud went past `TestCloudPeakMemory`'s 9.20 MB two-thread bound.
+    The arithmetic runs in place on a few block-sized buffers, with the
+    operations, operands and order of the plain expressions in the comments,
+    so the bits are theirs.  The steps are ordered so that at most four
+    float64 block arrays are live at once: the range, then the table's
+    i_tmp (computed in the buffer that held the grid index), then the
+    sanitized intensity and the hard peak, each evaluated in one buffer.
+    They are freed before the relocated rows are gathered, and only those
+    rows get their table range r_tmp.  The relocation holds at most five
+    arrays of relocated rows, so below the lookup unless more than four in
+    five rows move (traced, a 32768-row block peaked at 1.08 MB with none
+    and 1.31 MB with every row relocated).  In place is faster: plain peak
+    comparisons took 5.70 against 5.29 ms on a 118,876-point scan (2 vCPUs)
+    at about the same peak, and plain relocation of a 120k-point cloud went
+    past `TestCloudPeakMemory`'s two-thread bound.
     """
     x, y, z = xyz[:, 0], xyz[:, 1], xyz[:, 2]
-    # r0s = sqrt(x * x + y * y + z * z); inten_s is the scratch of the squares
+    # r0s = sqrt(x * x + y * y + z * z)
     r0s = np.multiply(x, x)
-    inten_s = np.multiply(y, y)
-    r0s += inten_s
-    np.multiply(z, z, out=inten_s)
-    r0s += inten_s
+    r0s += y * y
+    r0s += z * z
     np.sqrt(r0s, out=r0s)
     # the comparisons are False for NaN, so they also reject non-finite values
     valid = np.greater(r0s, 0.0)
@@ -197,11 +201,9 @@ def _transform_block(xyz, inten, soft, seed: int, lo: int,
     # r0s = where(valid, r0, 1.0) and inten_s = where(valid, inten, 0.0), so
     # there i_soft = i_hard = 0 (finite beta and table, beta_0 > 0): not soft
     np.copyto(r0s, 1.0, where=~valid)
-    np.copyto(inten_s, inten)
-    np.copyto(inten_s, 0.0, where=~valid)
-
+    i_tmp = _lookup(table.prefix_max, r0s)
+    inten_s = np.where(valid, inten, 0.0)
     i_hard = hard_peak_intensity(inten_s, r0s, fog.alpha)
-    i_tmp, r_tmp = _soft_max_at(table, r0s)
     # inten_s becomes i_soft = (inten_s * r0s * r0s / beta_0) * beta * i_tmp
     with np.errstate(over="ignore", invalid="ignore"):
         inten_s *= r0s
@@ -209,6 +211,7 @@ def _transform_block(xyz, inten, soft, seed: int, lo: int,
         inten_s /= fog.beta_0
         inten_s *= fog.beta
         inten_s *= i_tmp
+    del i_tmp
     np.greater(inten_s, i_hard, out=soft)
     # an overflowed i_soft is inf, which beats the finite i_hard, so the
     # relocated rows hold every overflow (inf * 0 is NaN and never wins)
@@ -216,7 +219,8 @@ def _transform_block(xyz, inten, soft, seed: int, lo: int,
     if overflow.size:
         j = int(overflow[0])  # the first overflowing row
         r0 = float(r0s[j])
-        if math.isfinite(r0 * r0 / fog.beta_0 * fog.beta * float(i_tmp[j])):  # unit intensity
+        i_tmp = query_soft_max(table, r0)[0]  # the block's i_tmp is freed: re-read
+        if math.isfinite(r0 * r0 / fog.beta_0 * fog.beta * i_tmp):  # unit intensity
             raise ValueError(f"point {lo + j} (intensity {float(inten[j])!r}, range {r0!r} m) "
                              "has a fog return that overflows")
         raise ValueError(f"the fog return overflows: beta={fog.beta} and "
@@ -225,31 +229,35 @@ def _transform_block(xyz, inten, soft, seed: int, lo: int,
     np.copyto(inten, inten_s, where=soft)
     n_skipped = valid.size - int(np.count_nonzero(valid))
     # from here on only the relocated rows are read: free the block buffers,
-    # then gather the relocated rows of the two still needed, one at a time
-    del i_tmp, inten_s, i_hard, valid
+    # then gather the relocated ranges and look up their table ranges
+    del inten_s, i_hard, valid
     k = np.flatnonzero(soft)
     r0s = r0s[k]
-    r_tmp = r_tmp[k]
+    r_tmp = _lookup(table.prefix_argmax, r0s)
 
     # noise factor 2^p with p uniform in [-1, 1); the new range n * r_tmp is
     # applied along the unit direction so a median draw lands exactly on the
     # table argmax range.  `uniform01` is looked up as a module global at each
     # call, so a wrapper of `lidarfog.foggify.uniform01` (perfbench/spans.py,
     # tests that monkeypatch it) sees every draw
-    # new_range = exp2(2.0 * uniform01(seed, lo + k) - 1.0) * r_tmp, in place
-    new_range = uniform01(seed, lo + k)
+    # new_range = exp2(2.0 * uniform01(seed, lo + k) - 1.0) * r_tmp, in place;
+    # k holds the cloud rows lo + k during the call, so no copy of it is made
+    k += lo
+    new_range = uniform01(seed, k)
+    k -= lo
     new_range *= 2.0
     new_range -= 1.0
     np.exp2(new_range, out=new_range)
     new_range *= r_tmp
     del r_tmp
-    # (xyz[k] / r0s[:, None]) * new_range[:, None], a column at a time: the
-    # broadcast form stages a 64 KB buffer
-    moved = xyz[k]
-    for col in moved.T:
+    # xyz[k] = (xyz[k] / r0s[:, None]) * new_range[:, None], a column at a
+    # time: the broadcast form stages a 64 KB buffer, and gathering whole
+    # (k, 3) rows held two more relocated-row arrays and took twice as long
+    for j in range(3):
+        col = xyz[k, j]
         col /= r0s
         col *= new_range
-    xyz[k] = moved
+        xyz[k, j] = col
     return n_skipped
 
 

@@ -110,7 +110,9 @@ def _read_bin(path, allow_nonfinite: bool, columns: int) -> PointCloud:
             rows = block[:, :4]
             if not allow_nonfinite:
                 bad += _nonfinite_rows(rows)
-            xyz[lo:lo + len(block)] = rows[:, :3]
+            # a column at a time: one 2-D strided cast took twice as long
+            for j in range(3):
+                xyz[lo:lo + len(block), j] = rows[:, j]
             inten[lo:lo + len(block)] = rows[:, 3]
     _check_finite(bad, path)
     return PointCloud(xyz, inten)
@@ -287,7 +289,8 @@ def write_cloud(cloud: PointCloud, path, fmt: CloudFormat = CloudFormat()) -> No
                 fh.write(_PLY_HEADER.format(n=n).encode("ascii"))
             for lo in range(0, n, _IO_ROWS):
                 block = buf[:min(n - lo, _IO_ROWS)]
-                block[:, :3] = cloud.xyz[lo:lo + len(block)]
+                for j in range(3):
+                    block[:, j] = cloud.xyz[lo:lo + len(block), j]
                 block[:, 3] = cloud.intensity[lo:lo + len(block)]
                 if fmt.kind == BIN_KIND:
                     fh.write(block)

@@ -40,11 +40,13 @@ def uniform01(seed: int, index):
 
 
 def stable_key64(name: str) -> int:
-    """Stable 64-bit key for a string, for keying per-file draws.  A file
-    name that is not valid UTF-8 (surrogate escapes from `os.listdir`) is
-    keyed by its bytes.  hashlib is imported here, by `sweep` alone: it maps
-    OpenSSL, about 3.6 MB that no other command needs."""
-    import hashlib
+    """Stable 64-bit key for a string, for keying per-file draws: the
+    little-endian 8-byte blake2b digest of its UTF-8 bytes.  A file name
+    that is not valid UTF-8 (surrogate escapes from `os.listdir`) is keyed
+    by its bytes.  `blake2b` comes from `_blake2`, the module `hashlib`
+    takes it from (`hashlib.blake2b is _blake2.blake2b`): importing
+    `hashlib` would also map OpenSSL, about 3.4 MB that no command needs."""
+    from _blake2 import blake2b
 
-    digest = hashlib.blake2b(name.encode("utf-8", "surrogateescape"), digest_size=8).digest()
+    digest = blake2b(name.encode("utf-8", "surrogateescape"), digest_size=8).digest()
     return int.from_bytes(digest, "little")

@@ -97,37 +97,45 @@ def build_table(fog: FogParams, sensor: SensorModel) -> SoftResponseTable:
     return build_tables([fog], sensor)[0]
 
 
-def _soft_max_at(table: SoftResponseTable, r0: np.ndarray):
-    """(i_tmp, r_tmp) arrays: the prefix max and its range at positive ranges r0.
+def _lookup(column: np.ndarray, r0: np.ndarray) -> np.ndarray:
+    """A prefix column of a table (`prefix_max` or `prefix_argmax`) at
+    positive ranges r0: i_tmp or r_tmp.
 
     The grid is snapped down: k = min(floor(r0 / RANGE_STEP), n_entries),
-    with the division done in floating point, and k < 1 gives (0.0, 0.0),
-    meaning "no soft contribution".  That k can be one less than the largest
-    k with k * RANGE_STEP <= r0: r0 = 4.3 = 43 * 0.1 reads entry 42, as do 98
-    of the 2000 grid ranges k * 0.1.  A decimal r0 also often reads the
-    entry below its decimal index (0.3 / 0.1 is 2.9999999999999996): 697 of
-    the literals 0.1, 0.2, ..., 200.0 do.  `naive_soft_max` snaps the same
-    way, so the lookup equals the naive scan of the grid bit for bit.
+    with the division done in floating point, and k < 1 gives 0.0, meaning
+    "no soft contribution".  That k can be one less than the largest k with
+    k * RANGE_STEP <= r0: r0 = 4.3 = 43 * 0.1 reads entry 42, as do 98 of
+    the 2000 grid ranges k * 0.1.  A decimal r0 also often reads the entry
+    below its decimal index (0.3 / 0.1 is 2.9999999999999996): 697 of the
+    literals 0.1, 0.2, ..., 200.0 do.  `naive_soft_max` snaps the same way,
+    so the lookup equals the naive scan of the grid bit for bit.  The
+    column is read into the float64 buffer k was computed in, so a lookup
+    holds r0, that buffer and the int64 k.
     """
-    k = np.minimum(np.floor(r0 / RANGE_STEP).astype(np.int64), table.n_entries)
-    # entry 0 of each padded column is the (0.0, 0.0) of ranges below the grid
-    return (np.concatenate(([0.0], table.prefix_max)).take(k),
-            np.concatenate(([0.0], table.prefix_argmax)).take(k))
+    out = np.divide(r0, RANGE_STEP)
+    np.floor(out, out=out)
+    k = out.astype(np.int64)
+    np.minimum(k, len(column), out=k)
+    # entry 0 of the padded column is the 0.0 of ranges below the grid; k
+    # lies in [0, n_entries], so "clip" moves no index, and unlike the
+    # default "raise" it writes into `out` without a buffer
+    return np.concatenate(([0.0], column)).take(k, out=out, mode="clip")
 
 
 def query_soft_max(table: SoftResponseTable, r0: float):
     """Maximum soft return over the grid up to r0 and the range achieving it.
 
     Returns (i_tmp, r_tmp) as floats.  The grid is snapped down as in
-    `_soft_max_at` (r0 = 4.3 reads entry 42), and below the first entry the
+    `_lookup` (r0 = 4.3 reads entry 42), and below the first entry the
     result is (0.0, 0.0).  Equals the naive scan of the grid bit for bit.
     """
     if not r0 > 0.0:
         raise ValueError(f"query range must be positive, got {r0}")
     if r0 > MAX_RANGE:
         raise ValueError(f"query range {r0} beyond table extent {MAX_RANGE}")
-    i_tmp, r_tmp = _soft_max_at(table, np.array([r0], dtype=np.float64))
-    return float(i_tmp[0]), float(r_tmp[0])
+    r0 = np.array([r0], dtype=np.float64)
+    return (float(_lookup(table.prefix_max, r0)[0]),
+            float(_lookup(table.prefix_argmax, r0)[0]))
 
 
 def naive_soft_max(r0: float, fog: FogParams, sensor: SensorModel):

@@ -700,11 +700,12 @@ class TestImports:
         assert proc.returncode == 0, proc.stderr
         assert "100/200" in proc.stdout
 
-    def test_only_sweep_loads_hashlib_and_thread_pools(self, tmp_path):
-        # hashlib maps OpenSSL (~3.6 MB) to key sweep's files, and
-        # concurrent.futures brings logging; the other commands need neither,
-        # and `simulate` starts no block thread on a KITTI-sized scan (4 blocks).
-        # A sweep starts file threads only with two workers and two files
+    def test_no_command_loads_hashlib_and_only_threads_load_pools(self, tmp_path):
+        # hashlib maps OpenSSL (~3.4 MB): `sweep` keys its files with blake2b
+        # from `_blake2`, so no command loads hashlib or _hashlib.
+        # concurrent.futures brings logging; `simulate` starts no block thread
+        # on a KITTI-sized scan (4 blocks), and a sweep starts file threads
+        # only with two workers and two files
         (tmp_path / "in").mkdir()
         (tmp_path / "in2").mkdir()
         rows = make_bin(tmp_path / "in" / "scan.bin", n=200, seed=4)
@@ -719,24 +720,26 @@ class TestImports:
             from lidarfog.cli import main
 
             def loaded():
-                return [m for m in ("hashlib", "concurrent.futures") if m in sys.modules]
+                return [m for m in ("hashlib", "_hashlib", "concurrent.futures")
+                        if m in sys.modules]
 
             assert loaded() == [], ("import", loaded())
             assert main(["intersect", "in/scan.bin", "last.bin", "--output", "kept.bin"]) == 0
+            assert main(["response", "--r0", "30", "--alpha", "0.06", "--output", "curve.csv"]) == 0
             assert main(["simulate", "--input", "in/scan.bin", "--output", "fog.bin",
                          "--alpha", "0.02"]) == 0
             assert main(["simulate", "--input", "kitti.bin", "--output", "kitti_fog.bin",
                          "--alpha", "0.06"]) == 0
-            assert loaded() == [], ("intersect, simulate", loaded())
+            assert loaded() == [], ("intersect, response, simulate", loaded())
             assert main(["sweep", "--input-dir", "in", "--output-dir", "out",
                          "--workers", "2"]) == 0
-            assert loaded() == ["hashlib"], ("one-file sweep", loaded())
+            assert loaded() == [], ("one-file sweep", loaded())
             assert main(["sweep", "--input-dir", "in2", "--output-dir", "out1",
                          "--workers", "1"]) == 0
-            assert loaded() == ["hashlib"], ("one-worker sweep", loaded())
+            assert loaded() == [], ("one-worker sweep", loaded())
             assert main(["sweep", "--input-dir", "in2", "--output-dir", "out2",
                          "--workers", "2"]) == 0
-            assert loaded() == ["hashlib", "concurrent.futures"], ("two-worker sweep", loaded())
+            assert loaded() == ["concurrent.futures"], ("two-worker sweep", loaded())
         """)
         proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
                               capture_output=True, text=True, timeout=60)

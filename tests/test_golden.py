@@ -34,8 +34,10 @@ CORPUS_SEED = 1616
 SIMULATE_SEED = 77
 ALPHAS = ("0", "0.005", "0.02", "0.06")
 SWEEP_SCHEDULE = ",".join(repr(round(0.005 * k, 3)) for k in range(13))
-# AVX-512 dispatch off: the outputs must not depend on it
+# AVX-512 dispatch off, and everything above numpy's X86_V2 baseline off:
+# the outputs must depend on neither
 NO_AVX512 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+X86_V2_ONLY = {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}
 
 # float32 coordinates whose float64 range sqrt(x*x + y*y + z*z) is exactly
 # 4.3, where the table lookup snaps down to entry 42
@@ -233,11 +235,17 @@ def changed_cases(cases: dict, golden: dict) -> list:
     return [k for k in keys if cases.get(k) != golden.get(k)]
 
 
+def mismatch(what: str, changed: list, golden: dict) -> str:
+    """The failure message of a digest check: the changed cases and the numpy
+    versions that recorded the digests and that ran the check."""
+    return (f"{what}: {', '.join(changed)} (digests recorded with numpy "
+            f"{golden['numpy']}, checked with numpy {np.__version__})")
+
+
 def test_golden_digests(tmp_path):
-    golden = load_golden()["cases"]
-    cases = compute_digests(tmp_path)
-    assert not changed_cases(cases, golden), "changed digests: " + ", ".join(
-        changed_cases(cases, golden))
+    golden = load_golden()
+    changed = changed_cases(compute_digests(tmp_path), golden["cases"])
+    assert not changed, mismatch("changed digests", changed, golden)
 
 
 def test_edge_row_lies_at_exactly_4_3_m():
@@ -255,15 +263,25 @@ def test_digests_do_not_depend_on_block_size_or_workers():
     assert set(variants.values()) == {base}
 
 
-def test_digests_do_not_depend_on_avx512(tmp_path):
-    env = dict(os.environ, **NO_AVX512)
+def check_digests_under(features: dict, what: str, tmp_path):
+    """The digests, computed in a fresh interpreter with `features` set in its
+    environment, equal the recorded ones."""
+    env = dict(os.environ, **features)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, str(Path(__file__)), "--print", str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    cases = json.loads(proc.stdout)
-    changed = changed_cases(cases, load_golden()["cases"])
-    assert not changed, "changed digests without AVX-512: " + ", ".join(changed)
+    golden = load_golden()
+    changed = changed_cases(json.loads(proc.stdout), golden["cases"])
+    assert not changed, mismatch(f"changed digests {what}", changed, golden)
+
+
+def test_digests_do_not_depend_on_avx512(tmp_path):
+    check_digests_under(NO_AVX512, "without AVX-512", tmp_path)
+
+
+def test_digests_hold_at_the_x86_v2_baseline(tmp_path):
+    check_digests_under(X86_V2_ONLY, "at the X86_V2 baseline", tmp_path)
 
 
 def _main(argv):

@@ -291,7 +291,8 @@ def onto(x, span):
 class TestSoftResponseIntegrals:
     """The batched evaluator equals per-range evaluation bit for bit."""
 
-    @pytest.mark.parametrize("block", [1, 64, optics._BLOCK_SIZE])
+    # the default block size, and 256 ranges, the other size measured for it
+    @pytest.mark.parametrize("block", [1, 64, optics._BLOCK_SIZE, 256])
     def test_batches_match_loop_reference(self, fog06, sensor, monkeypatch, block):
         monkeypatch.setattr(optics, "_BLOCK_SIZE", block)
         grid = np.arange(1, 2001) * RANGE_STEP  # crosses block boundaries
@@ -330,9 +331,12 @@ class TestSoftResponseIntegrals:
 
     @pytest.mark.parametrize("tau_h", [20e-9, 50e-9])
     @pytest.mark.parametrize("hard", [None, 30.0])
-    def test_nonfinite_ranges_read_zero_and_leave_their_block_alone(self, fog06, tau_h, hard):
+    def test_nonfinite_ranges_read_zero_and_leave_their_block_alone(self, fog06, tau_h, hard,
+                                                                    monkeypatch):
         # a NaN or inf range in a block must not move the panel ladder the
-        # block's finite ranges are integrated on
+        # block's finite ranges are integrated on; the offsets below fit
+        # 256-range blocks
+        monkeypatch.setattr(optics, "_BLOCK_SIZE", 256)
         sensor = SensorModel(tau_h=tau_h)
         grid = np.arange(1, 2001) * RANGE_STEP
         clean = soft_response_integrals(grid, fog06, sensor, hard_range=hard)
@@ -382,7 +386,8 @@ class TestManyAlphas:
 
     @pytest.mark.parametrize("tau_h", [20e-9, 50e-9])
     @pytest.mark.parametrize("hard", [None, 30.0])
-    def test_nonfinite_ranges_in_a_block(self, tau_h, hard):
+    def test_nonfinite_ranges_in_a_block(self, tau_h, hard, monkeypatch):
+        monkeypatch.setattr(optics, "_BLOCK_SIZE", 256)  # the offsets below fit 256-range blocks
         sensor = SensorModel(tau_h=tau_h)
         grid = np.arange(1, 2001) * RANGE_STEP
         bad = np.arange(0, len(grid), optics._BLOCK_SIZE)[:, None] + [3, 100, 200]

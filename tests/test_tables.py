@@ -161,8 +161,12 @@ class TestCloudPeakMemory:
     """
 
     N = 120_000
-    # per thread: ten float64 values per row of a 32768-row block
-    BLOCK_WORKSET = 10 * 8 * 32768
+    # per thread: six float64 values per row of a 32768-row block.  A block
+    # holds four float64 arrays and a bool mask at its lookup peak (33 bytes
+    # per row traced on this cloud) and at most five values per relocated
+    # row after it (40 bytes per row with every row relocated); the sixth
+    # value is the margin
+    BLOCK_WORKSET = 6 * 8 * 32768
 
     @pytest.fixture(scope="class")
     def cloud(self):
