@@ -147,23 +147,29 @@ def _stats_payload(args, fog: FogParams, outcome: FoggifyOutcome, runtime_ms: fl
     }
 
 
+def _foggify_file(args, src, dst, fmt, fog, table, seed, workers):
+    """Read src, foggify it in place with `table` and write dst (`simulate`, or
+    one file of `sweep`); returns the outcome and the transform's time [ms]."""
+    cloud = read_cloud(src, fmt, allow_nonfinite=args.allow_nonfinite)
+    if len(cloud) == 0:
+        raise MalformedFileError(f"{src}: no points to foggify")
+    t0 = time.perf_counter()
+    outcome = foggify_cloud(cloud, fog, table.sensor, seed=seed, rescale=not args.no_rescale,
+                            table=table, workers=workers, in_place=True)
+    runtime_ms = (time.perf_counter() - t0) * 1e3
+    write_cloud(outcome.cloud, dst, fmt)
+    return outcome, runtime_ms
+
+
 def cmd_simulate(args) -> int:
     fog = _fog_from_args(args)
     sensor = _sensor_from_args(args)
     fmt = _fmt_from_args(args)
     workers = _workers_from_args(args)
-    # the table's quadrature temporaries are freed before the cloud is read,
-    # and runtime_ms times the transform alone
+    # the table's quadrature temporaries are freed before the cloud is read
     table = build_table(fog, sensor)
-    cloud = read_cloud(args.input, fmt, allow_nonfinite=args.allow_nonfinite)
-    if len(cloud) == 0:
-        raise MalformedFileError(f"{args.input}: no points to foggify")
-    t0 = time.perf_counter()
-    outcome = foggify_cloud(cloud, fog, sensor, seed=args.seed,
-                            rescale=not args.no_rescale, table=table, workers=workers,
-                            in_place=True)
-    runtime_ms = (time.perf_counter() - t0) * 1e3
-    write_cloud(outcome.cloud, args.output, fmt)
+    outcome, runtime_ms = _foggify_file(args, args.input, args.output, fmt, fog, table,
+                                        args.seed, workers)
     if args.stats:
         _write_json(args.stats, _stats_payload(args, fog, outcome, runtime_ms))
     if args.provenance:
@@ -202,14 +208,10 @@ def cmd_sweep(args) -> int:
 
     def process(name: str):
         """Foggify one file; returns None or the error that stopped it."""
-        alpha = drawn[name]
         try:
-            cloud = read_cloud(os.path.join(args.input_dir, name), fmt,
-                               allow_nonfinite=args.allow_nonfinite)
-            outcome = foggify_cloud(cloud, fogs[alpha], sensor, seed=args.seed ^ keys[name],
-                                    rescale=not args.no_rescale, table=tables[alpha],
-                                    workers=1, in_place=True)
-            write_cloud(outcome.cloud, os.path.join(args.output_dir, name), fmt)
+            _foggify_file(args, os.path.join(args.input_dir, name),
+                          os.path.join(args.output_dir, name), fmt, fogs[drawn[name]],
+                          tables[drawn[name]], args.seed ^ keys[name], 1)
         except Exception as exc:  # keep the batch going
             print(f"error: {name}: {exc}", file=sys.stderr)
             return str(exc)
@@ -315,8 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
                         f"(default: {','.join(str(a) for a in DEFAULT_ALPHA_SCHEDULE)})")
     _add_fog_flags(p, with_alpha=False)
     _add_sensor_flags(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-rescale", action="store_true")
+    p.add_argument("--seed", type=int, default=0,
+                   help="draws each file's alpha and keys its noise (default: 0)")
+    p.add_argument("--no-rescale", action="store_true",
+                   help="skip the per-cloud intensity rescale to the full value range")
     p.add_argument("--workers", type=int, help="parallel files (default: cpu count)")
     _add_io_flags(p)
     p.set_defaults(func=cmd_sweep)

@@ -41,10 +41,6 @@ class SoftResponseTable:
     prefix_argmax: np.ndarray
     sensor: SensorModel
 
-    @property
-    def n_entries(self) -> int:
-        return len(self.prefix_max)
-
 
 def _prefix_max_argmax(values: np.ndarray):
     """Running maximum of nonnegative values and the range first achieving it.
@@ -101,7 +97,7 @@ def _lookup(column: np.ndarray, r0: np.ndarray) -> np.ndarray:
     """A prefix column of a table (`prefix_max` or `prefix_argmax`) at
     positive ranges r0: i_tmp or r_tmp.
 
-    The grid is snapped down: k = min(floor(r0 / RANGE_STEP), n_entries),
+    The grid is snapped down: k = min(floor(r0 / RANGE_STEP), len(column)),
     with the division done in floating point, and k < 1 gives 0.0, meaning
     "no soft contribution".  That k can be one less than the largest k with
     k * RANGE_STEP <= r0: r0 = 4.3 = 43 * 0.1 reads entry 42, as do 98 of
@@ -117,7 +113,7 @@ def _lookup(column: np.ndarray, r0: np.ndarray) -> np.ndarray:
     k = out.astype(np.int64)
     np.minimum(k, len(column), out=k)
     # entry 0 of the padded column is the 0.0 of ranges below the grid; k
-    # lies in [0, n_entries], so "clip" moves no index, and unlike the
+    # lies in [0, len(column)], so "clip" moves no index, and unlike the
     # default "raise" it writes into `out` without a buffer
     return np.concatenate(([0.0], column)).take(k, out=out, mode="clip")
 

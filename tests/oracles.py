@@ -142,7 +142,7 @@ def dense_transform_reference(x, y, z, inten, draws, fog, table):
     r0s = np.where(valid, r0, 1.0)
     inten_s = np.where(valid, inten, 0.0)
 
-    k = np.minimum(np.floor(r0s / RANGE_STEP).astype(np.int64), table.n_entries)
+    k = np.minimum(np.floor(r0s / RANGE_STEP).astype(np.int64), len(table.prefix_max))
     on_grid = k >= 1
     ki = np.where(on_grid, k - 1, 0)
     i_tmp = np.where(on_grid, table.prefix_max[ki], 0.0)

@@ -193,10 +193,10 @@ def test_criterion_4_table_naive_bitexact(tables, sensor):
     for alpha, table in tables.items():
         fog = FogParams(alpha=alpha, beta=0.0)
         direct = [soft_response_integral(k * RANGE_STEP, fog, sensor)
-                  for k in range(1, table.n_entries + 1)]
+                  for k in range(1, len(table.prefix_max) + 1)]
         for r0 in rng.uniform(0.01, 200.0, 1000):
             got = query_soft_max(table, float(r0))
-            k_max = min(int(r0 / RANGE_STEP), table.n_entries)
+            k_max = min(int(r0 / RANGE_STEP), len(table.prefix_max))
             ref = naive_running_max(direct, k_max)
             if got != ref:
                 mismatches += 1

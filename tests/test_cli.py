@@ -15,7 +15,7 @@ import lidarfog
 from lidarfog import DEFAULT_ALPHA_SCHEDULE, fog_from_alpha, foggify_cloud, sample_alpha
 from lidarfog.cli import _BOOL_FLAGS, _apply_config_file, build_parser, main
 from lidarfog.optics import MAX_RANGE
-from lidarfog.pointcloud_io import _PLY_HEADER, CloudFormat, read_cloud
+from lidarfog.pointcloud_io import _PLY_HEADER, CloudFormat, read_cloud, write_cloud
 from lidarfog.rng import stable_key64, uniform01
 
 
@@ -366,7 +366,32 @@ class TestSweep:
         assert main(["sweep", "--input-dir", str(src), "--output-dir", str(dst)]) == 1
         manifest = json.loads((dst / "manifest.json").read_text())
         assert set(manifest["files"]) == {"0000.bin", "0001.bin"}
-        assert set(manifest["failures"]) == {"empty.bin"}
+        assert manifest["failures"] == {
+            "empty.bin": f"{os.path.join(src, 'empty.bin')}: no points to foggify"}
+
+    @pytest.mark.parametrize("fmt", ["bin", "ply"])
+    def test_swept_file_is_a_simulate_run(self, tmp_path, fmt):
+        # with a one-value schedule every file gets that alpha, and its noise
+        # is keyed by seed ^ stable_key64(name), as `simulate --seed` takes it
+        src = tmp_path / "in"
+        src.mkdir()
+        for i in range(3):
+            make_bin(tmp_path / "clear.bin", n=3000, seed=i)
+            write_cloud(read_cloud(tmp_path / "clear.bin"), src / f"{i:04d}.{fmt}",
+                        CloudFormat(kind=fmt))
+        dst = tmp_path / "out"
+        assert main(["sweep", "--input-dir", str(src), "--output-dir", str(dst),
+                     "--alphas", "0.06", "--seed", "11", "--workers", "2",
+                     "--format", fmt]) == 0
+        names = sorted(os.listdir(src))
+        assert json.loads((dst / "manifest.json").read_text())["files"] == dict.fromkeys(
+            names, 0.06)
+        for name in names:
+            ref = tmp_path / f"ref.{fmt}"
+            assert main(["simulate", "--input", str(src / name), "--output", str(ref),
+                         "--alpha", "0.06", "--seed", str(11 ^ stable_key64(name)),
+                         "--format", fmt]) == 0
+            assert (dst / name).read_bytes() == ref.read_bytes(), name
 
     def test_name_not_utf8_is_processed(self, tmp_path):
         # os.listdir gives the bad byte as a surrogate escape
@@ -665,6 +690,14 @@ class TestHelp:
             if cmd in ("simulate", "sweep"):
                 # only `response` applies the peak shift
                 assert "--peak-correction" not in text
+
+    def test_sweep_seed_and_no_rescale_are_explained(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        helps = {cmd: {a.dest: a.help for a in p._actions} for cmd, p in sub.choices.items()}
+        seed = helps["sweep"]["seed"]
+        assert "alpha" in seed and "noise" in seed, seed
+        assert helps["sweep"]["no_rescale"] == helps["simulate"]["no_rescale"]
+        assert "rescale" in helps["sweep"]["no_rescale"]
 
     def test_every_sensor_field_has_a_flag(self, capsys):
         flags = ["--" + f.name.replace("_", "-") for f in dataclasses.fields(lidarfog.SensorModel)]

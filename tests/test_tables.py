@@ -58,7 +58,7 @@ class TestBuild:
         assert table06.prefix_argmax[9] == 10 * RANGE_STEP
 
     def test_entry_count_and_extent(self, table06):
-        assert table06.n_entries == 2000
+        assert len(table06.prefix_max) == 2000
         # the extent is inclusive: MAX_RANGE reads the last entry
         assert query_soft_max(table06, MAX_RANGE) == (table06.prefix_max[-1],
                                                       table06.prefix_argmax[-1])
@@ -71,7 +71,7 @@ class TestBuild:
     def test_prefix_arrays_consistent(self, table06, row06):
         best = 0.0
         best_r = 0.0
-        for k in range(1, table06.n_entries + 1):
+        for k in range(1, len(table06.prefix_max) + 1):
             v = row06[k - 1]
             if v > best:
                 best, best_r = v, k * RANGE_STEP
@@ -282,7 +282,7 @@ class TestQuery:
         for r0 in rng.uniform(0.01, 200.0, 300):
             i_tmp, r_tmp = query_soft_max(table06, float(r0))
             k_max = int(r0 / RANGE_STEP)
-            ref_i, ref_r = naive_running_max(row06, min(k_max, table06.n_entries))
+            ref_i, ref_r = naive_running_max(row06, min(k_max, len(table06.prefix_max)))
             assert i_tmp == ref_i
             assert r_tmp == ref_r
 

@@ -4,7 +4,8 @@ The benchmark's tracer reaches lidarfog through the bindings listed in
 `perfbench/spans.py` (``TARGETS``); an API cut that drops one of them makes
 ``perfbench/run.py --trace 1`` fail while every other test passes.  The
 README's Python API example is run as written, and the names it documents
-are exported.  `--config` knows every boolean flag of the CLI."""
+are exported.  `--config` knows every boolean flag of the CLI.  The CLI reaches
+the traced file steps through its module attributes on every call."""
 
 import argparse
 import importlib
@@ -35,6 +36,45 @@ def test_every_traced_binding_resolves():
     for module_name, attr, span in targets:
         fn = getattr(importlib.import_module(module_name), attr, None)
         assert callable(fn), f"{module_name}.{attr} (span {span}) is gone"
+
+
+def count_cli_calls(monkeypatch):
+    """Swap the file steps of `lidarfog.cli` for counting wrappers, rebinding
+    the module attributes as `perfbench/spans.py` does; returns the list of
+    (step, file name) calls."""
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            path = {"read_cloud": args[0], "write_cloud": args[1]}.get(name, "")
+            calls.append((name, Path(path).name))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("read_cloud", "foggify_cloud", "write_cloud"):
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    return calls
+
+
+def test_traced_steps_see_every_file(tmp_path, monkeypatch):
+    # a refactor that bound these names early would hide calls from --trace 1
+    src = tmp_path / "in"
+    src.mkdir()
+    rng = np.random.default_rng(0)
+    for i in range(3):
+        (src / f"{i}.bin").write_bytes(rng.uniform(1.0, 60.0, (500, 4)).astype("<f4").tobytes())
+    calls = count_cli_calls(monkeypatch)
+    assert cli.main(["simulate", "--input", str(src / "0.bin"),
+                     "--output", str(tmp_path / "foggy.bin"), "--alpha", "0.06"]) == 0
+    assert sorted(calls) == [("foggify_cloud", ""), ("read_cloud", "0.bin"),
+                             ("write_cloud", "foggy.bin")]
+    calls.clear()
+    assert cli.main(["sweep", "--input-dir", str(src), "--output-dir", str(tmp_path / "out"),
+                     "--workers", "2"]) == 0
+    names = ["0.bin", "1.bin", "2.bin"]
+    assert sorted(calls) == sorted([("foggify_cloud", "")] * 3
+                                   + [(step, n) for n in names
+                                      for step in ("read_cloud", "write_cloud")])
 
 
 README_PATH = Path(__file__).resolve().parents[1] / "README.md"
