@@ -213,7 +213,7 @@ def cmd_sweep(args) -> int:
                           os.path.join(args.output_dir, name), fmt, fogs[drawn[name]],
                           tables[drawn[name]], args.seed ^ keys[name], 1)
         except Exception as exc:  # keep the batch going
-            print(f"error: {name}: {exc}", file=sys.stderr)
+            sys.stderr.write(f"error: {name}: {exc}\n")  # one write: threads share stderr
             return str(exc)
         return None
 

@@ -9,7 +9,7 @@ the object) whose return has no closed form and is evaluated here with
 composite Simpson quadrature, for a whole array of ranges in one batched
 pass (`soft_response_integrals`; a sweep's tables share one pass for all
 their alphas); the one-range `soft_response_integral` is a call of that
-pass, so both give the same bits.
+pass, so both give the same bits.  The pass runs `soft_integrand`'s code.
 
 All arithmetic is 64-bit.  The pointwise functions take scalars or numpy
 arrays and return arrays (a 0-d array or numpy scalar for scalar input);
@@ -184,6 +184,20 @@ def hard_peak_intensity(i, r0, alpha):
     return out[()]
 
 
+def _soft_integrands(t, r, alphas, sensor: SensorModel):
+    """Yield `soft_integrand` at lags t and ranges r for each of alphas; the
+    alpha-free factors are formed once, alpha enters only through exp."""
+    t = np.asarray(t, dtype=np.float64)
+    x = r - SPEED_OF_LIGHT * t / 2.0
+    inside = x > sensor.r1
+    xs = np.where(inside, x, 1.0)
+    x2 = xs * xs
+    pulse = np.sin(np.pi * t / (2.0 * sensor.tau_h)) ** 2
+    cr = crossover(x, sensor)
+    for alpha in alphas:
+        yield np.where(inside, pulse * np.exp(-2.0 * alpha * xs) / x2 * cr, 0.0)
+
+
 def soft_integrand(t, r, fog: FogParams, sensor: SensorModel):
     """Integrand of the distributed fog return at evaluation range r.
 
@@ -195,13 +209,7 @@ def soft_integrand(t, r, fog: FogParams, sensor: SensorModel):
     per-point evaluation grid (x <= r always holds for t >= 0) and is
     applied by the caller when evaluating past the target.
     """
-    t = np.asarray(t, dtype=np.float64)
-    x = r - SPEED_OF_LIGHT * t / 2.0
-    inside = x > sensor.r1
-    xs = np.where(inside, x, 1.0)
-    pulse = np.sin(np.pi * t / (2.0 * sensor.tau_h)) ** 2
-    val = pulse * np.exp(-2.0 * fog.alpha * xs) / (xs * xs) * crossover(x, sensor)
-    return np.where(inside, val, 0.0)
+    return next(_soft_integrands(t, r, [fog.alpha], sensor))
 
 
 def _simpson_weights(n: int) -> np.ndarray:
@@ -228,67 +236,49 @@ def _panel_ladder(x_max: float, r2: float) -> np.ndarray:
     return np.array(cuts)
 
 
-def _soft_block(r: np.ndarray, alphas, sensor: SensorModel,
-                w: np.ndarray, hard_range: Optional[float]) -> np.ndarray:
-    """`_soft_integrals` for one block of ranges: one row per alpha."""
-    x_hi = r if hard_range is None else np.minimum(r, hard_range)
-    x_lo = np.maximum(sensor.r1, r - sensor.pulse_span)
-
-    # each range's panel edges, descending, one row per range: x_hi, the
-    # ladder clipped to [x_lo, x_hi], x_lo.  A clipped cut makes a zero-width
-    # panel, which is never evaluated and adds +0.0 to a sum of terms >= 0,
-    # so a range's total depends on its own panels alone.  The ladder stops
-    # at the largest x_hi of the live ranges (x_hi > x_lo): a NaN range would
-    # empty it, an inf range run it to overflow.
-    x_top = x_hi.max(where=x_hi > x_lo, initial=-np.inf)
-    ladder = _panel_ladder(float(x_top), sensor.r2)[::-1]
-    edges = np.column_stack((x_hi, np.clip(ladder, x_lo[:, None], x_hi[:, None]), x_lo))
-    real = edges[:, :-1] > edges[:, 1:]
-    xa, xb = edges[:, :-1][real], edges[:, 1:][real]
-    rp = np.broadcast_to(r[:, None], real.shape)[real]
-
-    # one Simpson rule per panel, on the lag interval [a, b] it maps to
-    n = len(w) - 1
-    a = 2.0 * (rp - xa) / SPEED_OF_LIGHT
-    b = 2.0 * (rp - xb) / SPEED_OF_LIGHT
-    h = (b - a) / n
-    t = a[:, None] + h[:, None] * np.arange(n + 1)
-
-    # the alpha-free factors of `soft_integrand` at every node, formed as it
-    # forms them; alpha enters only through exp(-2*alpha*x)
-    x = rp[:, None] - SPEED_OF_LIGHT * t / 2.0
-    inside = x > sensor.r1
-    xs = np.where(inside, x, 1.0)
-    pulse = np.sin(np.pi * t / (2.0 * sensor.tau_h)) ** 2
-    x2 = xs * xs
-    cr = crossover(x, sensor)
-
-    out = np.zeros((len(alphas), len(r)))
-    terms = np.zeros(real.shape)
-    for total, alpha in zip(out, alphas):
-        y = np.where(inside, pulse * np.exp(-2.0 * alpha * xs) / x2 * cr, 0.0)
-        # one dot product per panel row: vecdot runs the kernel of w.dot on
-        # each row, where a matrix product (y @ w) may sum in another order
-        terms[real] = (h / 3.0) * np.vecdot(w, y)
-        for column in terms.T:  # panel order, descending in range
-            total += column
-    return out
-
-
-def _soft_integrals(r, alphas, sensor: SensorModel,
-                    hard_range: Optional[float] = None) -> np.ndarray:
+def _soft_integrals(r, alphas, sensor: SensorModel, hard_range: float = np.inf) -> np.ndarray:
     """`soft_response_integrals` at ranges r for each attenuation in alphas.
 
-    Returns a (len(alphas), len(r)) array.  Each block's nodes and
-    alpha-free factors are formed once and serve every alpha, and every
-    value equals the one-alpha call's bit for bit.
+    Returns a (len(alphas), len(r)) array; `hard_range` np.inf cuts nothing.
+    Each block's nodes and alpha-free factors are formed once and serve
+    every alpha, and every value equals the one-alpha call's bit for bit.
     """
     r = np.asarray(r, dtype=np.float64)
-    w = _simpson_weights(_SUBINTERVALS)
-    out = np.empty((len(alphas), len(r)))
+    n = _SUBINTERVALS
+    w = _simpson_weights(n)
+    out = np.zeros((len(alphas), len(r)))
     for lo in range(0, len(r), _BLOCK_SIZE):
-        out[:, lo:lo + _BLOCK_SIZE] = _soft_block(r[lo:lo + _BLOCK_SIZE], alphas, sensor,
-                                                  w, hard_range)
+        rb = r[lo:lo + _BLOCK_SIZE]
+        x_hi = np.minimum(rb, hard_range)
+        x_lo = np.maximum(sensor.r1, rb - sensor.pulse_span)
+
+        # each range's panel edges, descending, one row per range: x_hi, the ladder
+        # clipped to [x_lo, x_hi], x_lo.  A clipped cut makes a zero-width panel,
+        # which is never evaluated and adds +0.0 to a sum of terms >= 0, so a
+        # range's total depends on its own panels alone.  The ladder stops at the
+        # largest x_hi of the live ranges (x_hi > x_lo): a NaN range would empty
+        # it, an inf range run it to overflow.
+        x_top = x_hi.max(where=x_hi > x_lo, initial=-np.inf)
+        ladder = _panel_ladder(float(x_top), sensor.r2)[::-1]
+        edges = np.column_stack((x_hi, np.clip(ladder, x_lo[:, None], x_hi[:, None]), x_lo))
+        real = edges[:, :-1] > edges[:, 1:]
+        xa, xb = edges[:, :-1][real], edges[:, 1:][real]
+        rp = np.broadcast_to(rb[:, None], real.shape)[real]
+
+        # one Simpson rule per panel, on the lag interval [a, b] it maps to
+        a = 2.0 * (rp - xa) / SPEED_OF_LIGHT
+        b = 2.0 * (rp - xb) / SPEED_OF_LIGHT
+        h = (b - a) / n
+        t = a[:, None] + h[:, None] * np.arange(n + 1)
+
+        # one dot product per panel row: vecdot runs the kernel of w.dot on each
+        # row, where a matrix product (y @ w) may sum in another order
+        terms = np.zeros(real.shape)
+        ys = _soft_integrands(t, rp[:, None], alphas, sensor)
+        for total in out[:, lo:lo + _BLOCK_SIZE]:  # one row per alpha
+            terms[real] = (h / 3.0) * np.vecdot(w, next(ys))
+            for column in terms.T:  # panel order, descending in range
+                total += column
     return out
 
 
@@ -313,16 +303,14 @@ def soft_response_integrals(
     Ranges are evaluated in blocks of `_BLOCK_SIZE` to bound temporaries.
     This is the one-alpha call of the pass that builds all of a sweep's
     tables at once (`tables.build_tables`): each block forms its quadrature
-    nodes once for all alphas, and the integrand is evaluated with the
-    operations of `soft_integrand`, in the same order, so the values equal a
-    quadrature over `soft_integrand` bit for bit.
+    nodes once for all alphas and runs the integrand code of
+    `soft_integrand` (`_soft_integrands`) at them.
 
     Doubling `_SUBINTERVALS` changes results by less than 1e-6 relative
     over the working range.
     """
-    if hard_range is not None:
-        hard_range = float(hard_range)
-    return _soft_integrals(r, [fog.alpha], sensor, hard_range)[0]
+    cut = np.inf if hard_range is None else float(hard_range)
+    return _soft_integrals(r, [fog.alpha], sensor, cut)[0]
 
 
 def soft_response_integral(r, fog: FogParams, sensor: SensorModel) -> float:

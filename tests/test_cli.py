@@ -348,6 +348,32 @@ class TestSweep:
         assert "broken.bin" in manifest["failures"]
         assert "broken.bin" in capsys.readouterr().err
 
+    def test_error_lines_are_written_whole(self, tmp_path, monkeypatch):
+        # file threads share stderr: a message and its newline written apart
+        # let another thread's line land between them
+        src = tmp_path / "in"
+        src.mkdir()
+        (src / "bad.bin").write_bytes(b"\x00" * 3)
+        (src / "empty.bin").write_bytes(b"")
+        make_bin(src / "good.bin", n=200)
+        writes = []
+
+        class Recorder:
+            def write(self, text):
+                writes.append(text)
+                return len(text)
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stderr", Recorder())
+        rc = main(["sweep", "--input-dir", str(src), "--output-dir", str(tmp_path / "out"),
+                   "--workers", "2"])
+        assert rc == 1
+        for w in writes:
+            assert w.startswith("error: ") and w.endswith("\n") and w.count("\n") == 1, writes
+        assert sorted(w.split(":")[1] for w in writes) == [" bad.bin", " empty.bin"], writes
+
     def test_overflowing_fog_return_is_a_failure(self, tmp_path):
         src = self._make_dir(tmp_path, n_files=3)
         dst = tmp_path / "out"
@@ -566,6 +592,24 @@ class TestResponse:
         rows = csv.read_text().splitlines()[1:]
         assert 3900 < len(rows) <= 4000
         assert float(rows[-1].split(",")[0]) <= 2 * MAX_RANGE
+
+    def test_run_as_module_exits_with_main_code(self, tmp_path):
+        # `python -m lidarfog.cli` passes through the __main__ guard and
+        # `entrypoint`, which the console script also runs
+        src = os.path.dirname(os.path.dirname(lidarfog.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        cmd = [sys.executable, "-m", "lidarfog.cli", "response", "--alpha", "0.06",
+               "--output", "r.csv", "--r0"]
+        bad = subprocess.run(cmd + ["1"], env=env, cwd=tmp_path,
+                             capture_output=True, text=True, timeout=60)
+        assert bad.returncode == 2, bad.stderr
+        assert "--r0 must exceed the crossover end" in bad.stderr
+        assert not (tmp_path / "r.csv").exists()
+        good = subprocess.run(cmd + ["30"], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=60)
+        assert good.returncode == 0, good.stderr
+        assert "r_tmp=" in good.stdout
+        assert (tmp_path / "r.csv").read_text().startswith("range,p_hard,p_soft\n")
 
     @pytest.mark.parametrize("flag", [["--format", "ply"], ["--columns", "9"],
                                       ["--allow-nonfinite"]])

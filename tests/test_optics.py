@@ -349,6 +349,15 @@ class TestSoftResponseIntegrals:
         rest[bad] = False
         assert got[rest].tobytes() == clean[rest].tobytes()
 
+    def test_no_cut_is_an_infinite_cut(self, fog06, sensor):
+        # hard_range=None reaches the quadrature as math.inf, NaN and inf ranges too
+        dirty = np.arange(1, 2001) * RANGE_STEP
+        dirty[[3, 100, 200, 1500, 1999]] = [np.nan, np.inf, -np.inf, np.nan, np.inf]
+        none = soft_response_integrals(dirty, fog06, sensor, hard_range=None)
+        assert none.tobytes() == soft_response_integrals(dirty, fog06, sensor,
+                                                         hard_range=math.inf).tobytes()
+        assert none.tobytes() == soft_response_integrals(dirty, fog06, sensor).tobytes()
+
 
 def running_max(row):
     """Prefix max of `row` and the first grid range reaching it, by a strict-max scan."""
@@ -393,7 +402,8 @@ class TestManyAlphas:
         bad = np.arange(0, len(grid), optics._BLOCK_SIZE)[:, None] + [3, 100, 200]
         dirty = grid.copy()
         dirty[bad] = [np.nan, np.inf, -np.inf]
-        rows = optics._soft_integrals(dirty, MANY_ALPHAS, sensor, hard)
+        rows = optics._soft_integrals(dirty, MANY_ALPHAS, sensor,
+                                      math.inf if hard is None else hard)
         assert rows.shape == (len(MANY_ALPHAS), len(grid))
         rest = np.ones(len(grid), dtype=bool)
         rest[bad] = False
