@@ -43,7 +43,6 @@ from .pointcloud_io import (
 from .tables import (
     SoftResponseTable,
     build_table,
-    build_tables,
     naive_soft_max,
     query_soft_max,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "SoftResponseTable",
     "alpha_to_mor",
     "build_table",
-    "build_tables",
     "clear_response",
     "crossover",
     "fog_from_alpha",

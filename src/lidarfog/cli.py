@@ -51,7 +51,7 @@ from .pointcloud_io import (
     write_cloud,
 )
 from .rng import stable_key64, uniform01
-from .tables import build_table, build_tables, query_soft_max
+from .tables import build_table, query_soft_max
 
 STATS_SCHEMA_VERSION = 1
 MANIFEST_SCHEMA_VERSION = 1
@@ -197,24 +197,25 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"--output-dir {args.output_dir} is the input directory")
 
     # plan: each file's alpha is a pure function of (seed, name), so every
-    # fog is checked and every table built, in one pass, before any file is
-    # opened
+    # fog is checked and every table built before any file is opened
     keys = {name: stable_key64(name) for name in names}
     drawn = {name: sample_alpha(schedule, uniform01(args.seed, keys[name])) for name in names}
     fogs = {a: fog_from_alpha(a, beta=args.beta, beta_0=args.beta0) for a in schedule}
-    used = sorted(set(drawn.values()))
-    tables = dict(zip(used, build_tables([fogs[a] for a in used], sensor)))
+    tables = {a: build_table(fogs[a], sensor) for a in sorted(set(drawn.values()))}
     os.makedirs(args.output_dir, exist_ok=True)
 
     def process(name: str):
         """Foggify one file; returns None or the error that stopped it."""
+        src = os.path.join(args.input_dir, name)
         try:
-            _foggify_file(args, os.path.join(args.input_dir, name),
-                          os.path.join(args.output_dir, name), fmt, fogs[drawn[name]],
-                          tables[drawn[name]], args.seed ^ keys[name], 1)
+            _foggify_file(args, src, os.path.join(args.output_dir, name), fmt,
+                          fogs[drawn[name]], tables[drawn[name]], args.seed ^ keys[name], 1)
         except Exception as exc:  # keep the batch going
-            sys.stderr.write(f"error: {name}: {exc}\n")  # one write: threads share stderr
-            return str(exc)
+            reason = str(exc)
+            # read errors lead with the path; the line names the file once.  One
+            # write: threads share stderr
+            sys.stderr.write(f"error: {name}: {reason.removeprefix(src + ': ')}\n")
+            return reason
         return None
 
     failures = {n: e for n, e in zip(names, _map_threads(process, names, workers)) if e is not None}

@@ -7,9 +7,9 @@ at its range), which gives a closed-form sin^2-shaped return.  Fog adds a
 distributed "soft" target (a step response filling the line of sight up to
 the object) whose return has no closed form and is evaluated here with
 composite Simpson quadrature, for a whole array of ranges in one batched
-pass (`soft_response_integrals`; a sweep's tables share one pass for all
-their alphas); the one-range `soft_response_integral` is a call of that
-pass, so both give the same bits.  The pass runs `soft_integrand`'s code.
+pass (`soft_response_integrals`) that evaluates `soft_integrand` at each
+block's quadrature nodes; the one-range `soft_response_integral` is a call
+of that pass, so both give the same bits.
 
 All arithmetic is 64-bit.  The pointwise functions take scalars or numpy
 arrays and return arrays (a 0-d array or numpy scalar for scalar input);
@@ -43,9 +43,9 @@ _PANEL_GROWTH = float(np.sqrt(2.0))
 
 # Ranges per block of the batched soft-return evaluator: at the default
 # sensor and _SUBINTERVALS 128 ranges make at most ~400 panels of 41 nodes,
-# so each temporary array stays near 130 kB.  With 256 ranges a 13-table
-# pass peaked at 2.78 against 1.90 MB traced and took about as long
-# (26.5 against 25.1 ms in 20 alternating pairs, 2 vCPUs)
+# so each temporary array stays near 130 kB.  With 256 ranges a pass over
+# all 2000 grid ranges peaked at 2.02 against 1.33 MB traced and took about
+# as long (4.1 ms either way, median of 30 runs, 2 vCPUs)
 _BLOCK_SIZE = 128
 
 
@@ -184,20 +184,6 @@ def hard_peak_intensity(i, r0, alpha):
     return out[()]
 
 
-def _soft_integrands(t, r, alphas, sensor: SensorModel):
-    """Yield `soft_integrand` at lags t and ranges r for each of alphas; the
-    alpha-free factors are formed once, alpha enters only through exp."""
-    t = np.asarray(t, dtype=np.float64)
-    x = r - SPEED_OF_LIGHT * t / 2.0
-    inside = x > sensor.r1
-    xs = np.where(inside, x, 1.0)
-    x2 = xs * xs
-    pulse = np.sin(np.pi * t / (2.0 * sensor.tau_h)) ** 2
-    cr = crossover(x, sensor)
-    for alpha in alphas:
-        yield np.where(inside, pulse * np.exp(-2.0 * alpha * xs) / x2 * cr, 0.0)
-
-
 def soft_integrand(t, r, fog: FogParams, sensor: SensorModel):
     """Integrand of the distributed fog return at evaluation range r.
 
@@ -209,7 +195,13 @@ def soft_integrand(t, r, fog: FogParams, sensor: SensorModel):
     per-point evaluation grid (x <= r always holds for t >= 0) and is
     applied by the caller when evaluating past the target.
     """
-    return next(_soft_integrands(t, r, [fog.alpha], sensor))
+    t = np.asarray(t, dtype=np.float64)
+    x = r - SPEED_OF_LIGHT * t / 2.0
+    inside = x > sensor.r1
+    xs = np.where(inside, x, 1.0)
+    pulse = np.sin(np.pi * t / (2.0 * sensor.tau_h)) ** 2
+    val = pulse * np.exp(-2.0 * fog.alpha * xs) / (xs * xs) * crossover(x, sensor)
+    return np.where(inside, val, 0.0)
 
 
 def _simpson_weights(n: int) -> np.ndarray:
@@ -236,20 +228,37 @@ def _panel_ladder(x_max: float, r2: float) -> np.ndarray:
     return np.array(cuts)
 
 
-def _soft_integrals(r, alphas, sensor: SensorModel, hard_range: float = np.inf) -> np.ndarray:
-    """`soft_response_integrals` at ranges r for each attenuation in alphas.
+def soft_response_integrals(
+    r,
+    fog: FogParams,
+    sensor: SensorModel,
+    hard_range: Optional[float] = None,
+) -> np.ndarray:
+    """Composite-Simpson values of the soft-return time integral at ranges r.
 
-    Returns a (len(alphas), len(r)) array; `hard_range` np.inf cuts nothing.
-    Each block's nodes and alpha-free factors are formed once and serve
-    every alpha, and every value equals the one-alpha call's bit for bit.
+    Integrates `soft_integrand` over the pulse support [0, 2*tau_h] with
+    `_SUBINTERVALS` Simpson subintervals per smooth panel (see
+    `_panel_ladder`).  Zero exactly for r <= r1, where the integrand has no
+    support.  `hard_range` truncates contributions from scattering beyond
+    the hard target; it only matters when evaluating at r > hard_range
+    (response-curve plotting), never on the per-point grid r <= hard_range.
+
+    `r` is a 1-D array.  Every range goes through the same elementwise
+    arithmetic and the same per-panel dot product whatever the batch, so
+    each value is bitwise independent of the other ranges in the call.
+    Ranges are evaluated in blocks of `_BLOCK_SIZE` to bound temporaries.
+
+    Doubling `_SUBINTERVALS` changes results by less than 1e-6 relative
+    over the working range.
     """
     r = np.asarray(r, dtype=np.float64)
+    cut = np.inf if hard_range is None else float(hard_range)
     n = _SUBINTERVALS
     w = _simpson_weights(n)
-    out = np.zeros((len(alphas), len(r)))
+    out = np.zeros(len(r))
     for lo in range(0, len(r), _BLOCK_SIZE):
         rb = r[lo:lo + _BLOCK_SIZE]
-        x_hi = np.minimum(rb, hard_range)
+        x_hi = np.minimum(rb, cut)
         x_lo = np.maximum(sensor.r1, rb - sensor.pulse_span)
 
         # each range's panel edges, descending, one row per range: x_hi, the ladder
@@ -274,43 +283,11 @@ def _soft_integrals(r, alphas, sensor: SensorModel, hard_range: float = np.inf) 
         # one dot product per panel row: vecdot runs the kernel of w.dot on each
         # row, where a matrix product (y @ w) may sum in another order
         terms = np.zeros(real.shape)
-        ys = _soft_integrands(t, rp[:, None], alphas, sensor)
-        for total in out[:, lo:lo + _BLOCK_SIZE]:  # one row per alpha
-            terms[real] = (h / 3.0) * np.vecdot(w, next(ys))
-            for column in terms.T:  # panel order, descending in range
-                total += column
+        terms[real] = (h / 3.0) * np.vecdot(w, soft_integrand(t, rp[:, None], fog, sensor))
+        total = out[lo:lo + _BLOCK_SIZE]
+        for column in terms.T:  # panel order, descending in range
+            total += column
     return out
-
-
-def soft_response_integrals(
-    r,
-    fog: FogParams,
-    sensor: SensorModel,
-    hard_range: Optional[float] = None,
-) -> np.ndarray:
-    """Composite-Simpson values of the soft-return time integral at ranges r.
-
-    Integrates `soft_integrand` over the pulse support [0, 2*tau_h] with
-    `_SUBINTERVALS` Simpson subintervals per smooth panel (see
-    `_panel_ladder`).  Zero exactly for r <= r1, where the integrand has no
-    support.  `hard_range` truncates contributions from scattering beyond
-    the hard target; it only matters when evaluating at r > hard_range
-    (response-curve plotting), never on the per-point grid r <= hard_range.
-
-    `r` is a 1-D array.  Every range goes through the same elementwise
-    arithmetic and the same per-panel dot product whatever the batch, so
-    each value is bitwise independent of the other ranges in the call.
-    Ranges are evaluated in blocks of `_BLOCK_SIZE` to bound temporaries.
-    This is the one-alpha call of the pass that builds all of a sweep's
-    tables at once (`tables.build_tables`): each block forms its quadrature
-    nodes once for all alphas and runs the integrand code of
-    `soft_integrand` (`_soft_integrands`) at them.
-
-    Doubling `_SUBINTERVALS` changes results by less than 1e-6 relative
-    over the working range.
-    """
-    cut = np.inf if hard_range is None else float(hard_range)
-    return _soft_integrals(r, [fog.alpha], sensor, cut)[0]
 
 
 def soft_response_integral(r, fog: FogParams, sensor: SensorModel) -> float:

@@ -4,24 +4,24 @@ The per-point algorithm scans the whole 10 cm range grid up to each point's
 range and takes the running maximum of the soft-return integral.  The
 integral does not depend on the point itself (only on alpha and the sensor),
 so one table per (alpha, sensor) pair serves every point: tabulate the
-integral once, in one batched quadrature pass, keep prefix-maximum and
-prefix-argmax arrays, and each point query becomes a single indexed lookup
-that matches the naive scan bit for bit.  `build_tables` builds all of a
-sweep's tables in that one pass: the quadrature nodes do not depend on
-alpha, so each block of ranges forms them once for every alpha.
+integral once, keep prefix-maximum and prefix-argmax arrays, and each point
+query becomes a single indexed lookup that matches the naive scan bit for
+bit.  A table stops where the integral stops rising (just past r2 + c*tau_h)
+and a lookup beyond its end reads its last entry, which is the running
+maximum of the whole grid.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import optics
 from .optics import (
     MAX_RANGE,
     RANGE_STEP,
     FogParams,
     SensorModel,
     soft_response_integral,
+    soft_response_integrals,
 )
 
 
@@ -58,39 +58,25 @@ def _prefix_max_argmax(values: np.ndarray):
     return pm, argmax_range
 
 
-def build_tables(fogs, sensor: SensorModel) -> list:
-    """Tabulate the soft-return integral over (0, MAX_RANGE] at RANGE_STEP
-    for each fog, in one pass.
-
-    Returns one `SoftResponseTable` per fog, in order: the prefix columns
-    of that fog's row of one batched quadrature pass over the grid
-    (`optics._soft_integrals`), in which each block of ranges forms its
-    nodes once and evaluates the integrand at every fog's alpha.  A row does
-    not depend on the batch or on the other fogs, so each integral equals
-    the scalar `soft_response_integral` at its range bit for bit and table
-    lookups are bitwise identical to the naive per-point scan.
-    """
-    fogs = list(fogs)
-    n = int(np.ceil(MAX_RANGE / RANGE_STEP))
-    rows = optics._soft_integrals(np.arange(1, n + 1) * RANGE_STEP,
-                                  [fog.alpha for fog in fogs], sensor)
-    out = []
-    for fog, values in zip(fogs, rows):
-        pm, am = _prefix_max_argmax(values)
-        for arr in (pm, am):
-            arr.setflags(write=False)
-        out.append(SoftResponseTable(
-            alpha=fog.alpha,
-            prefix_max=pm,
-            prefix_argmax=am,
-            sensor=sensor,
-        ))
-    return out
-
-
 def build_table(fog: FogParams, sensor: SensorModel) -> SoftResponseTable:
-    """`build_tables` for one fog."""
-    return build_tables([fog], sensor)[0]
+    """Tabulate the soft-return integral at RANGE_STEP up to where it stops rising.
+
+    The table holds the prefix columns of `soft_response_integrals` at r_k =
+    k * RANGE_STEP for k = 1..n, n = ceil((r2 + c*tau_h) / RANGE_STEP) + 1,
+    at most the MAX_RANGE / RANGE_STEP ranges of the whole grid.  Beyond
+    r2 + c*tau_h every slab the pulse reaches lies past the crossover ramp,
+    where exp(-2*alpha*x) / x^2 only falls, so no later entry of the grid
+    would raise the running maximum and `_lookup` reads the last entry for
+    them instead: lookups equal the naive per-point scan bit for bit.  The
+    +1 covers a quotient that rounds below its ceiling.
+    """
+    reach = np.ceil((sensor.r2 + sensor.pulse_span) / RANGE_STEP) + 1
+    n = int(min(reach, np.ceil(MAX_RANGE / RANGE_STEP)))
+    pm, am = _prefix_max_argmax(
+        soft_response_integrals(np.arange(1, n + 1) * RANGE_STEP, fog, sensor))
+    for arr in (pm, am):
+        arr.setflags(write=False)
+    return SoftResponseTable(alpha=fog.alpha, prefix_max=pm, prefix_argmax=am, sensor=sensor)
 
 
 def _lookup(column: np.ndarray, r0: np.ndarray) -> np.ndarray:

@@ -192,12 +192,11 @@ def test_criterion_4_table_naive_bitexact(tables, sensor):
     mismatches = 0
     for alpha, table in tables.items():
         fog = FogParams(alpha=alpha, beta=0.0)
-        direct = [soft_response_integral(k * RANGE_STEP, fog, sensor)
-                  for k in range(1, len(table.prefix_max) + 1)]
+        # the whole grid: a table ends where the running maximum stops moving
+        direct = [soft_response_integral(k * RANGE_STEP, fog, sensor) for k in range(1, 2001)]
         for r0 in rng.uniform(0.01, 200.0, 1000):
             got = query_soft_max(table, float(r0))
-            k_max = min(int(r0 / RANGE_STEP), len(table.prefix_max))
-            ref = naive_running_max(direct, k_max)
+            ref = naive_running_max(direct, int(r0 / RANGE_STEP))
             if got != ref:
                 mismatches += 1
     _report(4, f"prefix-table queries vs naive grid scan, 1000 random ranges x "

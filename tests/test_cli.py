@@ -373,6 +373,9 @@ class TestSweep:
         for w in writes:
             assert w.startswith("error: ") and w.endswith("\n") and w.count("\n") == 1, writes
         assert sorted(w.split(":")[1] for w in writes) == [" bad.bin", " empty.bin"], writes
+        # read errors carry the path, which the line must not repeat
+        for w in writes:
+            assert w.count("bad.bin") + w.count("empty.bin") == 1, writes
 
     def test_overflowing_fog_return_is_a_failure(self, tmp_path):
         src = self._make_dir(tmp_path, n_files=3)

@@ -15,8 +15,9 @@ from lidarfog import (
     transmission,
     transmit_pulse,
 )
-from lidarfog import build_tables, optics
+from lidarfog import build_table, optics
 from lidarfog.optics import RANGE_STEP, SPEED_OF_LIGHT, soft_response_integrals
+from lidarfog.tables import _lookup
 
 from oracles import soft_integral_quad, soft_integrand_scalar
 
@@ -375,23 +376,22 @@ MANY_ALPHAS = (*(round(0.005 * k, 3) for k in range(13)), 0.2, 1.0)
 
 
 class TestManyAlphas:
-    """One batched pass over many alphas equals the per-range, per-panel
-    evaluation on `soft_integrand` at each alpha bit for bit."""
+    """The one-fog pass equals the per-range, per-panel evaluation on
+    `soft_integrand` bit for bit at each alpha, and each alpha's short table
+    reads like the running maximum of the whole grid."""
 
-    def test_build_tables_match_loop_reference(self, sensor):
+    def test_tables_match_loop_reference(self, sensor):
         grid = np.arange(1, 2001) * RANGE_STEP
-        # a shuffled order: each table must get its own alpha's row
-        alphas = MANY_ALPHAS[::2] + MANY_ALPHAS[1::2]
-        built = build_tables([FogParams(alpha=a, beta=0.0) for a in alphas], sensor)
-        rows = optics._soft_integrals(grid, alphas, sensor)
-        assert [t.alpha for t in built] == list(alphas)
-        for a, table, row in zip(alphas, built, rows):
-            ref = [loop_reference(float(r), FogParams(alpha=a, beta=0.0), sensor)
-                   for r in grid]
-            assert row.tolist() == ref, a
-            pm, am = running_max(ref)
-            assert table.prefix_max.tolist() == pm, a
-            assert table.prefix_argmax.tolist() == am, a
+        k = [int(r / RANGE_STEP) for r in grid]  # the snapped-down entry each range reads
+        for a in MANY_ALPHAS:
+            fog = FogParams(alpha=a, beta=0.0)
+            ref = [loop_reference(float(r), fog, sensor) for r in grid]
+            assert soft_response_integrals(grid, fog, sensor).tolist() == ref, a
+            table = build_table(fog, sensor)
+            assert table.alpha == a
+            for column, want in zip((table.prefix_max, table.prefix_argmax), running_max(ref)):
+                assert _lookup(column, grid).tolist() == [want[i - 1] if i else 0.0
+                                                         for i in k], a
 
     @pytest.mark.parametrize("tau_h", [20e-9, 50e-9])
     @pytest.mark.parametrize("hard", [None, 30.0])
@@ -402,14 +402,12 @@ class TestManyAlphas:
         bad = np.arange(0, len(grid), optics._BLOCK_SIZE)[:, None] + [3, 100, 200]
         dirty = grid.copy()
         dirty[bad] = [np.nan, np.inf, -np.inf]
-        rows = optics._soft_integrals(dirty, MANY_ALPHAS, sensor,
-                                      math.inf if hard is None else hard)
-        assert rows.shape == (len(MANY_ALPHAS), len(grid))
         rest = np.ones(len(grid), dtype=bool)
         rest[bad] = False
-        for a, row in zip(MANY_ALPHAS, rows):
-            one = soft_response_integrals(grid, FogParams(alpha=a, beta=0.0), sensor,
-                                          hard_range=hard)
+        for a in MANY_ALPHAS:
+            fog = FogParams(alpha=a, beta=0.0)
+            row = soft_response_integrals(dirty, fog, sensor, hard_range=hard)
+            one = soft_response_integrals(grid, fog, sensor, hard_range=hard)
             assert row[bad].ravel().tolist() == [0.0] * bad.size
             assert row[rest].tobytes() == one[rest].tobytes(), a
 

@@ -1,5 +1,5 @@
-"""Property tests of the per-point transform, the sweep plan and the
-dual-return intersection.
+"""Property tests of the per-point transform, the soft-return tables, the
+sweep plan and the dual-return intersection.
 
 Clouds mix ordinary points (coordinates within +-150 m, so some ranges lie
 beyond the 200 m table, intensities in [-50, 300], so some are negative)
@@ -16,7 +16,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.spatial import cKDTree
@@ -27,7 +27,6 @@ from lidarfog import (
     PointCloud,
     Provenance,
     build_table,
-    build_tables,
     fog_from_alpha,
     foggify_cloud,
     intersect_returns,
@@ -35,8 +34,10 @@ from lidarfog import (
     query_soft_max,
     sample_alpha,
 )
-from lidarfog.optics import MAX_RANGE, hard_peak_intensity
+from lidarfog.optics import (MAX_RANGE, RANGE_STEP, SensorModel, hard_peak_intensity,
+                             soft_response_integrals)
 from lidarfog.rng import stable_key64, uniform01
+from lidarfog.tables import _lookup, _prefix_max_argmax
 from oracles import brute_force_match_mask, dense_transform_reference
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -230,14 +231,10 @@ def relocated(cloud, fog, sensor, table, seed):
        milli=st.lists(st.integers(0, 200), min_size=2, max_size=4, unique=True))
 def test_relocation_sets_nest_in_alpha(sensor, cloud, seed, milli):
     """A point fog relocates at alpha1 is relocated at every alpha2 > alpha1
-    (beta = 0.046 / MOR, MOR = 3 / alpha).  The tables come from one
-    batched build in the drawn order, so an alpha whose row the shared loop
-    skips breaks the nesting.  Rows in another order keep it (beta grows
-    with alpha either way); `test_optics.py::TestManyAlphas` pins each row
-    to its own alpha bit for bit."""
+    (beta = 0.046 / MOR, MOR = 3 / alpha)."""
     fogs = [fog_from_alpha(k / 1000) for k in milli]
-    sets = {fog.alpha: relocated(cloud, fog, sensor, table, seed)
-            for fog, table in zip(fogs, build_tables(fogs, sensor))}
+    sets = {fog.alpha: relocated(cloud, fog, sensor, build_table(fog, sensor), seed)
+            for fog in fogs}
     alphas = sorted(sets)
     for lo, hi in zip(alphas, alphas[1:]):
         assert not np.any(sets[lo] & ~sets[hi]), (lo, hi)
@@ -273,8 +270,7 @@ def test_sweep_builds_one_table_per_drawn_alpha(seed, n_files, schedule):
         for name in names:
             rng.uniform(1.0, 60.0, (20, 4)).astype("<f4").tofile(os.path.join(src, name))
         dst = os.path.join(tmp, "out")
-        with mock.patch.object(cli, "build_tables", wraps=cli.build_tables) as build_all, \
-                mock.patch.object(cli, "build_table", wraps=cli.build_table) as build_one:
+        with mock.patch.object(cli, "build_table", wraps=cli.build_table) as build_one:
             rc = cli.main(["sweep", "--input-dir", src, "--output-dir", dst,
                            "--alphas", ",".join(map(repr, schedule)), "--seed", str(seed),
                            "--workers", "2"])
@@ -282,10 +278,38 @@ def test_sweep_builds_one_table_per_drawn_alpha(seed, n_files, schedule):
             manifest = json.load(fh)
     assert rc == 0
     assert manifest["files"] == drawn
-    # one batched build of exactly the distinct drawn alphas, in sorted order
-    assert build_all.call_count == 1 and build_one.call_count == 0
-    fogs = build_all.call_args.args[0]
-    assert [fog.alpha for fog in fogs] == sorted(set(manifest["files"].values()))
+    # one build for each distinct drawn alpha and for no other
+    built = sorted(call.args[0].alpha for call in build_one.call_args_list)
+    assert built == sorted(set(manifest["files"].values()))
+
+
+@st.composite
+def sensors(draw):
+    """A valid sensor: 0 < r1 < r2 < 2 and a pulse of 1 ps to 1 us, long
+    enough at the top for its span c*tau_h to pass MAX_RANGE."""
+    r2 = draw(st.floats(0.05, 2.0, exclude_max=True))
+    r1 = draw(st.floats(0.0, r2, exclude_min=True, exclude_max=True))
+    return SensorModel(tau_h=10.0 ** draw(st.floats(-12.0, -6.0)), r1=r1, r2=r2)
+
+
+@PROPERTY
+@given(alpha=st.floats(0.0, 0.3), sensor=sensors(),
+       r0=hnp.arrays(np.float64, st.integers(1, 64),
+                     elements=st.floats(0.0, MAX_RANGE, exclude_min=True)))
+@example(alpha=0.06, sensor=SensorModel(tau_h=1e-6), r0=np.array([0.05, 4.3, MAX_RANGE]))
+def test_short_table_reads_like_the_whole_grid(alpha, sensor, r0):
+    """A table ends just past r2 + c*tau_h, where the soft return stops
+    rising; its lookups equal those of the prefix columns of all 2000 grid
+    ranges bit for bit, at every grid range and at any r0 in (0, MAX_RANGE]."""
+    fog = fog_from_alpha(alpha)
+    table = build_table(fog, sensor)
+    assert table.alpha == alpha and table.sensor == sensor
+    grid = np.arange(1, 2001) * RANGE_STEP
+    whole = _prefix_max_argmax(soft_response_integrals(grid, fog, sensor))
+    for column, ref in zip((table.prefix_max, table.prefix_argmax), whole):
+        assert not column.flags.writeable
+        for at in (grid, r0):
+            assert same_bits(_lookup(column, at), _lookup(ref, at))
 
 
 UNIT = st.floats(-1.0, 1.0)

@@ -13,7 +13,6 @@ from lidarfog import (
     SensorModel,
     SoftResponseTable,
     build_table,
-    build_tables,
     fog_from_alpha,
     foggify_cloud,
     intersect_returns,
@@ -23,9 +22,9 @@ from lidarfog import (
     soft_response_integral,
     write_cloud,
 )
-from lidarfog import foggify, optics, tables
+from lidarfog import foggify, tables
 from lidarfog.cli import main
-from lidarfog.optics import MAX_RANGE, RANGE_STEP
+from lidarfog.optics import MAX_RANGE, RANGE_STEP, soft_response_integrals
 from lidarfog.pointcloud_io import _IO_ROWS
 from lidarfog.tables import _prefix_max_argmax
 
@@ -34,8 +33,9 @@ from oracles import naive_running_max
 
 @pytest.fixture(scope="module")
 def row06(fog06, sensor):
-    """The integral row that `build_table(fog06, sensor)` takes its prefix columns from."""
-    return optics._soft_integrals(np.arange(1, 2001) * RANGE_STEP, [fog06.alpha], sensor)[0]
+    """The integrals on the whole 2000-range grid; `build_table(fog06, sensor)`
+    takes its prefix columns from the start of this row."""
+    return soft_response_integrals(np.arange(1, 2001) * RANGE_STEP, fog06, sensor)
 
 
 class TestBuild:
@@ -57,13 +57,17 @@ class TestBuild:
         assert table06.prefix_max[9] > 0.0
         assert table06.prefix_argmax[9] == 10 * RANGE_STEP
 
-    def test_entry_count_and_extent(self, table06):
-        assert len(table06.prefix_max) == 2000
-        # the extent is inclusive: MAX_RANGE reads the last entry
-        assert query_soft_max(table06, MAX_RANGE) == (table06.prefix_max[-1],
-                                                      table06.prefix_argmax[-1])
-        with pytest.raises(ValueError, match="beyond table extent"):
-            query_soft_max(table06, np.nextafter(MAX_RANGE, np.inf))
+    def test_entry_count_and_extent(self, table06, fog06):
+        # ceil((r2 + c*tau_h) / RANGE_STEP) + 1 entries: ceil(69.96) + 1 at 20 ns,
+        # and the whole grid once the pulse span reaches past MAX_RANGE
+        long_pulse = build_table(fog06, SensorModel(tau_h=1e-6))
+        for table, n in ((table06, 71), (long_pulse, 2000)):
+            assert len(table.prefix_max) == len(table.prefix_argmax) == n
+            # the extent is inclusive: MAX_RANGE reads the last entry
+            assert query_soft_max(table, MAX_RANGE) == (table.prefix_max[-1],
+                                                        table.prefix_argmax[-1])
+            with pytest.raises(ValueError, match="beyond table extent"):
+                query_soft_max(table, np.nextafter(MAX_RANGE, np.inf))
 
     def test_prefix_max_nondecreasing(self, table06):
         assert np.all(np.diff(table06.prefix_max) >= 0.0)
@@ -97,42 +101,19 @@ class TestBuild:
 
     def test_build_peak_memory_stays_bounded(self):
         # blocks of optics._BLOCK_SIZE ranges keep the quadrature temporaries
-        # small: about 2 MB at the default sensor, 7.5 MB in one block
+        # small: about 0.8 MB for the 71-entry default table, 1.3 MB for all
+        # 2000 ranges of the grid at the default sensor (7.5 MB in one block)
         fog, sensor = fog_from_alpha(0.06), SensorModel()
-        tracemalloc.start()
-        try:
-            build_table(fog, sensor)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4e6
+        grid = np.arange(1, 2001) * RANGE_STEP
+        assert traced_peak(lambda: build_table(fog, sensor)) < 4e6
+        assert traced_peak(lambda: soft_response_integrals(grid, fog, sensor)) < 4e6
 
     def test_sweep_build_peak_memory_stays_bounded(self):
-        # the blocks stay the outer loop, so many alphas need no more
-        # temporaries than one: about 2.8 MB for the 13-value sweep schedule
+        # a sweep builds its tables one after the other, so the 13-value
+        # schedule needs no more temporaries than one table: about 0.8 MB
         fogs = [fog_from_alpha(round(0.005 * k, 3)) for k in range(13)]
-        tracemalloc.start()
-        try:
-            build_tables(fogs, SensorModel())
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4e6
-
-    def test_batched_tables_equal_single_builds(self, sensor):
-        fogs = [fog_from_alpha(a) for a in (0.06, 0.0, 0.02, 0.06)]
-        grid = np.arange(1, 2001) * RANGE_STEP
-        rows = optics._soft_integrals(grid, [fog.alpha for fog in fogs], sensor)
-        for table, fog, row in zip(build_tables(fogs, sensor), fogs, rows):
-            one = build_table(fog, sensor)
-            assert row.tobytes() == optics._soft_integrals(grid, [fog.alpha], sensor)[0].tobytes()
-            assert table.alpha == fog.alpha
-            assert table.sensor == one.sensor == sensor
-            for name in ("prefix_max", "prefix_argmax"):
-                arr = getattr(table, name)
-                assert arr.tobytes() == getattr(one, name).tobytes()
-                assert not arr.flags.writeable
-        assert build_tables([], sensor) == []
+        sensor = SensorModel()
+        assert traced_peak(lambda: [build_table(fog, sensor) for fog in fogs]) < 4e6
 
 
 def traced_peak(fn):
@@ -282,7 +263,7 @@ class TestQuery:
         for r0 in rng.uniform(0.01, 200.0, 300):
             i_tmp, r_tmp = query_soft_max(table06, float(r0))
             k_max = int(r0 / RANGE_STEP)
-            ref_i, ref_r = naive_running_max(row06, min(k_max, len(table06.prefix_max)))
+            ref_i, ref_r = naive_running_max(row06, k_max)  # the whole grid's scan
             assert i_tmp == ref_i
             assert r_tmp == ref_r
 
