@@ -76,7 +76,7 @@ def _add_io_flags(p):
                    help="point cloud file format (default: bin)")
     p.add_argument("--columns", type=int, default=4,
                    help="float32 columns per binary record; extras beyond "
-                        "x,y,z,intensity are dropped on read (default: 4)")
+                        "x,y,z,intensity are written out as read (default: 4)")
     p.add_argument("--allow-nonfinite", action="store_true",
                    help="keep records with NaN/inf values instead of rejecting the file")
 

@@ -60,10 +60,16 @@ class Provenance(IntEnum):
 
 
 class PointCloud:
-    """Column store of points: xyz (n, 3) float64 and intensity (n,) float64.
+    """Column store of points: xyz (n, 3) and intensity (n,) float64.
 
     Float64 arrays are kept as given, strided views included (a PLY read's
-    columns are views of one row array); other input is converted.
+    columns are views of one row array); other input is converted, float32
+    too.  A cloud read from a binary file is record-backed instead
+    (`_empty_records`): `records` holds the file's (n, N) float32 records,
+    extra columns included, `xyz` is the float32 view of their first three
+    columns and `intensity` a float64 column; `write_cloud` narrows the
+    intensity into column 3 and writes the records whole.  Other clouds
+    have `records` None.
     """
 
     def __init__(self, xyz, intensity):
@@ -77,6 +83,20 @@ class PointCloud:
             )
         self.xyz = xyz
         self.intensity = intensity
+        self.records = None
+
+    @classmethod
+    def _empty_records(cls, n: int, columns: int) -> "PointCloud":
+        """An unfilled record-backed cloud of n records of `columns` float32
+        values.  The float64 intensity and the records share one buffer, the
+        intensity first so that both are aligned: one allocation per cloud,
+        24 n bytes at four columns."""
+        buf = np.empty(8 * n + 4 * columns * n, dtype=np.uint8)
+        cloud = cls.__new__(cls)
+        cloud.intensity = buf[:8 * n].view(np.float64)
+        cloud.records = buf[8 * n:].view("<f4").reshape(n, columns)
+        cloud.xyz = cloud.records[:, :3]
+        return cloud
 
     def __len__(self) -> int:
         return self.xyz.shape[0]
@@ -157,18 +177,21 @@ def _transform_block(xyz, inten, soft, seed: int, lo: int,
                      fog: FogParams, table: SoftResponseTable):
     """Vectorized per-point transform of one block; the single source of truth.
 
-    `xyz` (m, 3) and `inten` (m,) are the block's rows, transformed in
-    place: each is read before it is written (the overflow check reads
-    `inten` before the new intensities are stored, and the relocated rows
-    are gathered into a copy).  `soft` (m,) bool receives the relocated
-    mask.  The block starts at cloud row `lo`; only its relocated rows k
-    are drawn, with `uniform01(seed, lo + k)`, and the other rows keep
-    their coordinates without any arithmetic.  Skipped
-    points (zero/overlong range, non-finite coordinates, negative or
-    non-finite intensity) pass through unchanged; the return value counts
-    them.  A fog return that overflows raises ValueError naming the point, or
-    beta and beta_0 if it overflows at unit intensity.  The table is read with
-    `tables._lookup`, the lookup of `query_soft_max`, and the hard peak comes
+    `xyz` (m, 3) float64, or the float32 xyz of a block of records, and
+    `inten` (m,) float64 are the block's rows, transformed in place: each is
+    read before it is written (the overflow check reads `inten` before the
+    new intensities are stored, and the relocated rows are gathered into a
+    copy).  The arithmetic is float64 for either dtype; float32 xyz receives
+    each relocated coordinate rounded once, as a write of float64 xyz
+    rounds it.  `soft` (m,) bool receives the relocated mask.  The block
+    starts at cloud row `lo`; only its relocated rows k are drawn, with
+    `uniform01(seed, lo + k)`, and the other rows keep their coordinates'
+    bytes without any arithmetic.  Skipped points (zero/overlong range,
+    non-finite coordinates, negative or non-finite intensity) pass through
+    unchanged; the return value counts them.  A fog return that overflows
+    raises ValueError naming the point, or beta and beta_0 if it overflows
+    at unit intensity.  The table is read with `tables._lookup`, the lookup
+    of `query_soft_max`, and the hard peak comes
     from `hard_peak_intensity`.
 
     The arithmetic runs in place on a few block-sized buffers, with the
@@ -187,10 +210,14 @@ def _transform_block(xyz, inten, soft, seed: int, lo: int,
     past `TestCloudPeakMemory`'s two-thread bound.
     """
     x, y, z = xyz[:, 0], xyz[:, 1], xyz[:, 2]
-    # r0s = sqrt(x * x + y * y + z * z)
-    r0s = np.multiply(x, x)
-    r0s += y * y
-    r0s += z * z
+    # r0s = sqrt(x * x + y * y + z * z), in float64 from either dtype: square
+    # is x * x, and on a 32768-row block it took 0.6 times the time of
+    # multiply(x, x) on float64 columns and of multiply(x, x, dtype=float64)
+    # on float32 ones.  A float32 signaling NaN raises `invalid` as it widens
+    with np.errstate(invalid="ignore"):
+        r0s = np.square(x, dtype=np.float64)
+        r0s += np.square(y, dtype=np.float64)
+        r0s += np.square(z, dtype=np.float64)
     np.sqrt(r0s, out=r0s)
     # the comparisons are False for NaN, so they also reject non-finite values
     valid = np.greater(r0s, 0.0)
@@ -251,10 +278,11 @@ def _transform_block(xyz, inten, soft, seed: int, lo: int,
     new_range *= r_tmp
     del r_tmp
     # xyz[k] = (xyz[k] / r0s[:, None]) * new_range[:, None], a column at a
-    # time: the broadcast form stages a 64 KB buffer, and gathering whole
-    # (k, 3) rows held two more relocated-row arrays and took twice as long
+    # time in float64, stored with one rounding into float32 xyz: the
+    # broadcast form stages a 64 KB buffer, and gathering whole (k, 3) rows
+    # held two more relocated-row arrays and took twice as long
     for j in range(3):
-        col = xyz[k, j]
+        col = xyz[k, j].astype(np.float64, copy=False)
         col /= r0s
         col *= new_range
         xyz[k, j] = col
@@ -307,8 +335,9 @@ def foggify_cloud(
     (cloud, fog, sensor, seed) regardless of `workers`.
 
     By default the cloud's arrays are only read, so they may be read-only:
-    the output xyz and intensity are allocated once and each block copies
-    its own rows into them before transforming them.  With `in_place`, each
+    the output xyz and intensity, or records and intensity for a
+    record-backed cloud, are allocated once and each block copies its own
+    rows into them before transforming them.  With `in_place`, each
     block transforms its rows in the cloud's own arrays, which must be
     writable (ValueError before any row is written), and the outcome's cloud
     is `cloud` itself; after an overflow error it holds a partial result.
@@ -329,8 +358,13 @@ def foggify_cloud(
         if not (cloud.xyz.flags.writeable and cloud.intensity.flags.writeable):
             raise ValueError("in_place needs a cloud with writable arrays")
         out = cloud
+    elif cloud.records is not None:
+        out = PointCloud._empty_records(n, cloud.records.shape[1])
     else:
         out = PointCloud(np.empty((n, 3), dtype=np.float64), np.empty(n, dtype=np.float64))
+    # the rows each block copies: whole records, extra columns included, or xyz
+    rows_in, rows_out = ((cloud.xyz, out.xyz) if cloud.records is None
+                         else (cloud.records, out.records))
     # provenance is written through a bool view of its bytes
     provenance = np.empty(n, dtype=np.uint8)
     soft = provenance.view(np.bool_)
@@ -339,7 +373,7 @@ def foggify_cloud(
         hi = lo + _BLOCK_SIZE  # the slices stop at n
         xyz, inten = out.xyz[lo:hi], out.intensity[lo:hi]
         if not in_place:
-            np.copyto(xyz, cloud.xyz[lo:hi])
+            np.copyto(rows_out[lo:hi], rows_in[lo:hi])
             np.copyto(inten, cloud.intensity[lo:hi])
         return _transform_block(xyz, inten, soft[lo:hi], seed, lo, fog, table)
 

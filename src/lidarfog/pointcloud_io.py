@@ -1,15 +1,17 @@
 """Point-cloud file IO and the dual-return intersection filter.
 
 Two formats: the headerless binary record layout used by KITTI-style
-datasets (consecutive little-endian float32 x, y, z, intensity) and a plain
-ASCII PLY with the same four properties.  Binary round-trips are bit-exact.
-PLY text is streamed both ways.  The body is read by one `np.loadtxt` pass
-over the open file, whose rows become the cloud; a body loadtxt rejects is
-read once more to name the file's first line that is not 4 numbers.  It is
-written in blocks of `_IO_ROWS` rows, each formatted by numpy with
-the bytes of %.6f (`_ply_text`); a block holding NaN, inf or a magnitude of
-2**53 / 1e6 or more, which numpy cannot format exactly, goes through
-Python's % operator instead.
+datasets (consecutive little-endian float32 x, y, z, intensity, then any
+extra per-point fields) and a plain ASCII PLY with the same four
+properties.  A binary file is read with one `readinto` into the records of
+a record-backed cloud and written back with one write, so round-trips are
+bit-exact and extra fields are kept.  PLY text is streamed both ways.  The
+body is read by one `np.loadtxt` pass over the open file, whose rows become
+the cloud; a body loadtxt rejects is read once more to name the file's
+first line that is not 4 numbers.  It is written in blocks of `_IO_ROWS`
+rows, each formatted by numpy with the bytes of %.6f (`_ply_text`); a block
+holding NaN, inf or a magnitude of 2**53 / 1e6 or more, which numpy cannot
+format exactly, goes through Python's % operator instead.
 
 `intersect_returns` keeps the points of a strongest-return scan that have a
 counterpart in the last-return scan of the same sweep; everything a
@@ -34,8 +36,8 @@ from .foggify import PointCloud
 BIN_KIND = "bin"
 PLY_KIND = "ply"
 DEFAULT_MATCH_TOLERANCE = 1e-3  # [m]
-# rows per bin read, bin write and PLY write block: bounds the float32 records
-# and the text held at once
+# rows per block of the bin finite check, the write of a cloud without
+# records and the PLY write: bounds the float32 records and text held at once
 _IO_ROWS = 8192
 
 
@@ -48,9 +50,11 @@ class CloudFormat:
     """Record layout declaration.
 
     `columns` covers binary datasets that append extra per-point fields
-    (channel, timestamp, ...) after x, y, z, intensity: records are read as
-    that many float32 values and the extras are dropped.  Output always
-    carries the canonical four columns.
+    (channel, timestamp, ring index, ...) after x, y, z, intensity: records
+    are read as that many float32 values, and the cloud keeps them whole,
+    so writing it carries the extras through unchanged.  A cloud without
+    records (PLY, or built in Python) is written as the canonical four
+    columns.
     """
 
     kind: str = BIN_KIND
@@ -81,13 +85,14 @@ def _check_finite(bad: int, path):
 
 
 def _read_bin(path, allow_nonfinite: bool, columns: int) -> PointCloud:
-    """The records of a binary file as a cloud.
+    """The records of a binary file as a record-backed cloud.
 
-    The size is taken from the open file.  The records are read in blocks of
-    `_IO_ROWS` through one reused float32 buffer, and each block is counted
-    for the finite check and widened straight into the float64 `xyz` and
-    `intensity`, so the call holds the cloud and one block.  A file that
-    ends before the size it had when opened is malformed.
+    The size is taken from the open file and the records are read with one
+    `readinto` into the cloud's buffer, which holds them and the float64
+    intensity.  The finite check counts `_IO_ROWS` records at a time, and
+    column 3 is widened into the intensity (exactly), so the call holds the
+    cloud and one block of flags.  A file that ends before the size it had
+    when opened is malformed.
     """
     record_bytes = 4 * columns
     with open(path, "rb") as fh:
@@ -96,26 +101,18 @@ def _read_bin(path, allow_nonfinite: bool, columns: int) -> PointCloud:
             raise MalformedFileError(
                 f"{path}: size {size} is not a multiple of the {record_bytes}-byte record"
             )
-        n = size // record_bytes
-        xyz = np.empty((n, 3), dtype=np.float64)
-        inten = np.empty(n, dtype=np.float64)
-        buf = np.empty((min(n, _IO_ROWS), columns), dtype="<f4")
-        bad = 0
-        for lo in range(0, n, _IO_ROWS):
-            block = buf[:min(n - lo, _IO_ROWS)]
-            got = fh.readinto(block)
-            if got != block.nbytes:
-                raise MalformedFileError(f"{path}: file ended at byte {lo * record_bytes + got} "
-                                         f"of the {size} it had when opened")
-            rows = block[:, :4]
-            if not allow_nonfinite:
-                bad += _nonfinite_rows(rows)
-            # a column at a time: one 2-D strided cast took twice as long
-            for j in range(3):
-                xyz[lo:lo + len(block), j] = rows[:, j]
-            inten[lo:lo + len(block)] = rows[:, 3]
-    _check_finite(bad, path)
-    return PointCloud(xyz, inten)
+        cloud = PointCloud._empty_records(size // record_bytes, columns)
+        got = fh.readinto(cloud.records)
+        if got != size:
+            raise MalformedFileError(f"{path}: file ended at byte {got} "
+                                     f"of the {size} it had when opened")
+    rows = cloud.records[:, :4]
+    if not allow_nonfinite:
+        _check_finite(sum(_nonfinite_rows(rows[lo:lo + _IO_ROWS])
+                          for lo in range(0, len(rows), _IO_ROWS)), path)
+    with np.errstate(invalid="ignore"):  # raised as a signaling NaN widens
+        cloud.intensity[:] = rows[:, 3]
+    return cloud
 
 
 _PLY_HEADER = """ply
@@ -269,39 +266,52 @@ def _ply_text(block: np.ndarray):
     return field[:, lo:][np.arange(lo, _PLY_FIELD, dtype=np.uint8) >= start[:, None]]
 
 
+def _write_blocks(fh, cloud: PointCloud, kind: str) -> None:
+    """Write `cloud` to `fh` as four-column binary records or PLY text,
+    narrowing it `_IO_ROWS` rows at a time into one reused float32 (B, 4)
+    buffer, filled column by column with the cast of `astype`, so no
+    whole-cloud record array is made."""
+    n = len(cloud)
+    if kind == PLY_KIND:
+        fh.write(_PLY_HEADER.format(n=n).encode("ascii"))
+    buf = np.empty((min(n, _IO_ROWS), 4), dtype="<f4")
+    for lo in range(0, n, _IO_ROWS):
+        block = buf[:min(n - lo, _IO_ROWS)]
+        for j in range(3):
+            block[:, j] = cloud.xyz[lo:lo + len(block), j]
+        block[:, 3] = cloud.intensity[lo:lo + len(block)]
+        if kind == BIN_KIND:
+            fh.write(block)
+            continue
+        text = _ply_text(block)
+        if text is None:
+            # %.6f of a float32 widened to a Python float is the text
+            # of f"{np.float32(x):.6f}", nan, inf and -0.0 included
+            text = (_PLY_ROW * len(block)) % tuple(block.ravel().tolist())
+            text = text.encode("ascii")
+        fh.write(text)
+
+
 def write_cloud(cloud: PointCloud, path, fmt: CloudFormat = CloudFormat()) -> None:
     """Write a cloud atomically (temp file + rename).
 
-    Both formats narrow the cloud `_IO_ROWS` rows at a time into one reused
-    float32 (B, 4) buffer, filled column by column with the cast of
-    `astype`, so no whole-cloud record array is made.  Binary output writes
-    each block's records (reading them back reproduces them bit-exactly).
-    PLY text keeps six decimals, good to 5e-7 absolute per coordinate: each
-    block is formatted by numpy (`_ply_text`), or with Python's %.6f when it
-    holds a value numpy cannot format exactly.
+    A record-backed cloud written as binary has its intensity narrowed into
+    column 3 of its records, which are then written whole in one write,
+    extra columns included and xyz bytes as they are.  Any other cloud, and
+    every PLY write, goes through `_write_blocks`.  Reading binary output
+    back reproduces its records bit-exactly.  PLY text keeps six decimals,
+    good to 5e-7 absolute per coordinate: each block is formatted by numpy
+    (`_ply_text`), or with Python's %.6f when it holds a value numpy cannot
+    format exactly.
     """
-    n = len(cloud)
-    buf = np.empty((min(n, _IO_ROWS), 4), dtype="<f4")
     tmp = f"{path}.tmp{os.getpid()}"
     try:
         with open(tmp, "wb") as fh:
-            if fmt.kind == PLY_KIND:
-                fh.write(_PLY_HEADER.format(n=n).encode("ascii"))
-            for lo in range(0, n, _IO_ROWS):
-                block = buf[:min(n - lo, _IO_ROWS)]
-                for j in range(3):
-                    block[:, j] = cloud.xyz[lo:lo + len(block), j]
-                block[:, 3] = cloud.intensity[lo:lo + len(block)]
-                if fmt.kind == BIN_KIND:
-                    fh.write(block)
-                    continue
-                text = _ply_text(block)
-                if text is None:
-                    # %.6f of a float32 widened to a Python float is the text
-                    # of f"{np.float32(x):.6f}", nan, inf and -0.0 included
-                    text = (_PLY_ROW * len(block)) % tuple(block.ravel().tolist())
-                    text = text.encode("ascii")
-                fh.write(text)
+            if cloud.records is not None and fmt.kind == BIN_KIND:
+                cloud.records[:, 3] = cloud.intensity
+                fh.write(cloud.records)
+            else:
+                _write_blocks(fh, cloud, fmt.kind)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -349,11 +359,12 @@ def _finite_rows(xyz: np.ndarray) -> np.ndarray:
 
 
 def _finite_blocks(xyz: np.ndarray):
-    """Row numbers and rows of the finite points of each `_CHUNK_ROWS` block."""
+    """Row numbers and float64 rows of the finite points of each
+    `_CHUNK_ROWS` block."""
     for lo in range(0, len(xyz), _CHUNK_ROWS):
         block = xyz[lo:lo + _CHUNK_ROWS]
         keep = np.flatnonzero(_finite_rows(block))
-        yield lo + keep, block[keep]
+        yield lo + keep, block[keep].astype(np.float64, copy=False)
 
 
 def _extent(xyz: np.ndarray):
@@ -366,7 +377,7 @@ def _cells(xyz: np.ndarray, scale: float):
     """The cell key of each row, and per axis whether the row lies in the
     upper half of its cell: u - floor(u) is exact whenever it is below 1/2,
     so the half is that of the computed u."""
-    u = xyz * scale
+    u = np.multiply(xyz, scale, dtype=np.float64)
     cells = np.floor(u)
     upper = u - cells >= 0.5
     cells = cells.astype(np.int64).view(np.uint64)
@@ -375,8 +386,9 @@ def _cells(xyz: np.ndarray, scale: float):
 
 
 def _sorted_cells(b: np.ndarray, scale: float):
-    """The finite rows of `b`, gathered once in cell-key order, with their
-    distinct keys and run bounds: rows starts[i]:starts[i + 1] lie in keys[i]."""
+    """The finite rows of `b`, gathered once in cell-key order as float64,
+    with their distinct keys and run bounds: rows starts[i]:starts[i + 1]
+    lie in keys[i]."""
     rows = np.flatnonzero(_finite_rows(b))
     keys = np.empty(len(rows), dtype=np.uint64)
     for lo in range(0, len(rows), _CHUNK_ROWS):
@@ -386,7 +398,7 @@ def _sorted_cells(b: np.ndarray, scale: float):
     del order
     starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1], True])
     keys = keys[starts[:-1]]
-    return keys, starts, b[rows]
+    return keys, starts, b[rows].astype(np.float64, copy=False)
 
 
 def _any_within(p: np.ndarray, q: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -458,9 +470,17 @@ def intersect_returns(strongest: PointCloud, last: PointCloud,
     with a NaN or infinite coordinate is within tol of nothing: it is
     dropped from `strongest` and confirms nothing in `last`.  Output
     preserves the order (and is a subset by index) of `strongest`; tol = 0
-    keeps exact coordinate matches only (-0.0 matches 0.0).
+    keeps exact coordinate matches only (-0.0 matches 0.0).  Float32 xyz
+    (record-backed clouds) is joined in float64, exactly as its widening.
+    A record-backed `strongest` gives a record-backed result: the kept rows'
+    records, extra columns included, and their float64 intensity.
     """
     if tol < 0 or math.isnan(tol):
         raise ValueError(f"tolerance must be >= 0, got {tol}")
     mask = _match_mask(strongest.xyz, last.xyz, tol)
-    return PointCloud(strongest.xyz[mask], strongest.intensity[mask])
+    if strongest.records is None:
+        return PointCloud(strongest.xyz[mask], strongest.intensity[mask])
+    kept = PointCloud._empty_records(int(np.count_nonzero(mask)), strongest.records.shape[1])
+    np.compress(mask, strongest.records, axis=0, out=kept.records)
+    np.compress(mask, strongest.intensity, out=kept.intensity)
+    return kept

@@ -88,6 +88,49 @@ class TestSimulate:
         assert rc == 0
         assert out.read_bytes() == cloud_file.read_bytes()
 
+    @pytest.mark.parametrize("columns", [5, 9])
+    def test_extra_columns_come_out_unchanged(self, tmp_path, columns):
+        four = tmp_path / "four.bin"
+        rows = make_bin(four, n=700, seed=11)
+        # any bits, NaNs and infinities included: the finite check reads the
+        # first four columns only
+        extras = np.random.default_rng(12).integers(0, 2**32, (700, columns - 4),
+                                                    dtype=np.uint32).view("<f4")
+        wide = tmp_path / "wide.bin"
+        np.hstack((rows, extras)).tofile(wide)
+        args = ["simulate", "--alpha", "0.06", "--seed", "3"]
+        assert main(args + ["--input", str(four), "--output", str(tmp_path / "o4.bin")]) == 0
+        assert main(args + ["--input", str(wide), "--output", str(tmp_path / "oN.bin"),
+                            "--columns", str(columns)]) == 0
+        got = np.fromfile(tmp_path / "oN.bin", dtype="<f4").reshape(-1, columns)
+        assert got[:, 4:].tobytes() == extras.tobytes()
+        assert got[:, :4].tobytes() == (tmp_path / "o4.bin").read_bytes()
+        assert got[:, :4].tobytes() != rows.tobytes()  # the fog moved some points
+
+    @pytest.mark.parametrize("columns", [4, 5])
+    def test_clear_air_without_rescale_writes_the_input_bytes(self, tmp_path, columns):
+        src = tmp_path / "scan.bin"
+        rows = make_bin(tmp_path / "four.bin", n=600, seed=13)
+        np.hstack((rows, rows[:, :columns - 4] * 3.0)).tofile(src)
+        out = tmp_path / "same.bin"
+        assert main(["simulate", "--input", str(src), "--output", str(out), "--alpha", "0",
+                     "--no-rescale", "--columns", str(columns)]) == 0
+        assert out.read_bytes() == src.read_bytes()
+
+    def test_nan_coordinates_keep_their_bytes(self, tmp_path):
+        rows = make_bin(tmp_path / "unused.bin", n=300, seed=14)
+        bits = rows.view(np.uint32)
+        bits[10, 0] = 0x7FC00123  # a quiet NaN with a payload
+        bits[20, 1] = 0x7FA00001  # a signaling NaN, which a float64 round trip quiets
+        bits[30, 3] = 0x7FA00001  # read and rescaled as a float64 NaN, without a warning
+        src, out = tmp_path / "nan.bin", tmp_path / "o.bin"
+        src.write_bytes(rows.tobytes())
+        assert main(["simulate", "--input", str(src), "--output", str(out),
+                     "--alpha", "0.06", "--allow-nonfinite"]) == 0
+        got = np.fromfile(out, dtype="<f4").reshape(-1, 4)
+        for i in (10, 20):
+            assert got[i, :3].tobytes() == rows[i, :3].tobytes()
+
     def test_mor_equals_alpha_beta_spelling(self, tmp_path, cloud_file):
         a = tmp_path / "a.bin"
         b = tmp_path / "b.bin"
@@ -422,6 +465,21 @@ class TestSweep:
                          "--format", fmt]) == 0
             assert (dst / name).read_bytes() == ref.read_bytes(), name
 
+    def test_swept_file_keeps_extra_columns(self, tmp_path):
+        src, dst = tmp_path / "in", tmp_path / "out"
+        src.mkdir()
+        rows = make_bin(tmp_path / "clear.bin", n=3000, seed=4)
+        np.column_stack((rows, np.arange(3000) % 32)).astype("<f4").tofile(src / "five.bin")
+        assert main(["sweep", "--input-dir", str(src), "--output-dir", str(dst),
+                     "--alphas", "0.06", "--seed", "11", "--columns", "5"]) == 0
+        ref = tmp_path / "ref.bin"
+        assert main(["simulate", "--input", str(src / "five.bin"), "--output", str(ref),
+                     "--alpha", "0.06", "--seed", str(11 ^ stable_key64("five.bin")),
+                     "--columns", "5"]) == 0
+        assert (dst / "five.bin").read_bytes() == ref.read_bytes()
+        got = np.fromfile(dst / "five.bin", dtype="<f4").reshape(-1, 5)
+        assert np.array_equal(got[:, 4], np.arange(3000) % 32)
+
     def test_name_not_utf8_is_processed(self, tmp_path):
         # os.listdir gives the bad byte as a surrogate escape
         bad = os.fsdecode(b"bad\xff.bin")
@@ -632,6 +690,16 @@ class TestIntersect:
         assert rc == 0
         assert out.read_bytes() == cloud_file.read_bytes()
         assert "(1.0000)" in capsys.readouterr().out
+
+    def test_self_intersection_keeps_extra_columns(self, tmp_path, capsys):
+        rows = make_bin(tmp_path / "unused.bin", n=400, seed=15)
+        src = tmp_path / "five.bin"
+        np.column_stack((rows, np.arange(400) % 64)).astype("<f4").tofile(src)
+        out = tmp_path / "kept.bin"
+        assert main(["intersect", str(src), str(src), "--output", str(out),
+                     "--tolerance", "0", "--columns", "5"]) == 0
+        assert out.read_bytes() == src.read_bytes()
+        assert "400/400" in capsys.readouterr().out
 
     def test_disjoint(self, tmp_path, capsys):
         a = tmp_path / "a.bin"

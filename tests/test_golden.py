@@ -137,10 +137,10 @@ class Runner:
             h.update(data)
         return h.hexdigest()
 
-    def simulate(self, scan, kind, *flags):
+    def simulate(self, scan, kind, *flags, folder="clear"):
         # every case writes the same names, so equal bytes give equal digests
         out, stats, prov = f"out.{kind}", "stats.json", "prov.bin"
-        code, stdout = self.main(["simulate", "--input", f"clear/{scan}.{kind}",
+        code, stdout = self.main(["simulate", "--input", f"{folder}/{scan}.{kind}",
                                   "--output", out, "--stats", stats, "--provenance", prov,
                                   "--format", kind, "--seed", str(SIMULATE_SEED), *flags])
         assert code == 0, (scan, kind, flags)
@@ -172,6 +172,15 @@ def compute_digests(root: Path) -> dict:
             "scan_0", "bin", "--alpha", "0.06", "--no-rescale", "--allow-nonfinite")
         cases["simulate/bin/beta"] = run.simulate(
             "scan_2", "bin", "--alpha", "0.02", "--beta", "0.004", "--beta0", "2e-7")
+
+        # a fifth column of arbitrary bits, NaN payloads included, comes out as read
+        rows = np.fromfile(root / "clear" / "scan_0.bin", dtype="<f4").reshape(-1, 4)
+        fifth = (np.arange(len(rows), dtype=np.uint32) * np.uint32(0x9E3779B1)).view("<f4")
+        (root / "five").mkdir()
+        np.column_stack((rows, fifth)).tofile(root / "five" / "scan_0.bin")
+        cases["simulate/bin/columns=5"] = run.simulate(
+            "scan_0", "bin", "--alpha", "0.06", "--allow-nonfinite", "--columns", "5",
+            folder="five")
 
         # worker count and block size change no bit
         block = foggify._BLOCK_SIZE

@@ -367,7 +367,7 @@ class TestPlyFormat:
 
 
 class TestColumnOverride:
-    def test_extra_columns_dropped(self, tmp_path):
+    def test_extra_columns_kept_beside_xyz_and_intensity(self, tmp_path):
         rows = np.arange(10, dtype="<f4").reshape(2, 5)  # x y z i channel
         path = tmp_path / "five.bin"
         path.write_bytes(rows.tobytes())
@@ -375,6 +375,9 @@ class TestColumnOverride:
         assert len(cloud) == 2
         assert np.array_equal(cloud.xyz, rows[:, :3])
         assert np.array_equal(cloud.intensity, rows[:, 3])
+        assert cloud.records.tobytes() == rows.tobytes()
+        write_cloud(cloud, tmp_path / "copy.bin")
+        assert (tmp_path / "copy.bin").read_bytes() == rows.tobytes()
 
     def test_partial_record_respects_columns(self, tmp_path):
         path = tmp_path / "bad5.bin"

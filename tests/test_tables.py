@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import sys
 import tracemalloc
 
 import numpy as np
@@ -129,16 +130,19 @@ def traced_peak(fn):
 class TestCloudPeakMemory:
     """Budgets in the cloud's bytes C = 32 n (float64 xyz and intensity).
 
-    The CLI's bin path holds one float64 cloud per file: the read widens
-    one block of float32 records at a time into the cloud, `simulate` and
-    `sweep` foggify it in place with a few block buffers per thread, and
-    the write narrows one block at a time.  No stage makes a staging copy
-    of a whole cloud.  With whole-cloud copies, float64 record staging and
-    65536-row blocks, the same calls peaked at 2.9 C (1 worker) and 2.9-4.1
-    C (2 workers) for `foggify_cloud`, 2.0 C for the read and 1.5 C for the
-    write; with whole-cloud float32 records, 1.5 C for the read, 0.5 C for
-    the bin write and 1.2 C for the PLY write.  A PLY read that copied the
-    rows' columns into the cloud peaked at 2.0 C.
+    The CLI's bin path holds one buffer per file: the file's float32
+    records and a float64 intensity column, 24 n bytes (0.75 C) at four
+    columns.  The read fills the records with one `readinto`, `simulate`
+    and `sweep` foggify the cloud in place with a few block buffers per
+    thread, and the write narrows the intensity into the records and writes
+    them in one write.  No stage makes a staging copy of a whole cloud.
+    With whole-cloud copies, float64 record staging and 65536-row blocks,
+    the same calls peaked at 2.9 C (1 worker) and 2.9-4.1 C (2 workers) for
+    `foggify_cloud`, 2.0 C for the read and 1.5 C for the write; with
+    whole-cloud float32 records beside a float64 cloud, 1.5 C for the read,
+    0.5 C for the bin write and 1.2 C for the PLY write, and with the float64
+    cloud widened a block at a time, 1.05 C for the read.  A PLY read that
+    copied the rows' columns into the cloud peaked at 2.0 C.
     """
 
     N = 120_000
@@ -177,17 +181,59 @@ class TestCloudPeakMemory:
         threads = workers or 1
         assert peak < self.N + threads * self.BLOCK_WORKSET
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_foggify_records_in_place_holds_only_block_buffers(self, cloud, table06, fog06,
+                                                               sensor, tmp_path, workers):
+        path = tmp_path / "scan.bin"
+        write_cloud(cloud, path)
+        records = read_cloud(path)
+        peak = traced_peak(lambda: foggify_cloud(records, fog06, sensor, seed=1,
+                                                 table=table06, workers=workers,
+                                                 in_place=True))
+        # float32 xyz adds a float32 gather per relocated column to the block buffers
+        assert peak < self.N + workers * self.BLOCK_WORKSET
+
     def test_bin_read_widens_without_staging(self, cloud, tmp_path):
         path = tmp_path / "scan.bin"
         write_cloud(cloud, path)
         peak = traced_peak(lambda: read_cloud(path, CloudFormat("bin")))
-        # the float64 cloud (C) and one block of float32 records
-        assert peak < 1.1 * 32 * self.N
+        # one buffer of float32 records and float64 intensity (0.75 C) and
+        # one block of finite flags
+        assert peak < 0.8 * 32 * self.N
 
     def test_bin_write_stages_only_float32_records(self, cloud, tmp_path):
         peak = traced_peak(lambda: write_cloud(cloud, tmp_path / "out.bin"))
         # one block of float32 records: no whole-cloud record array
         assert peak < 0.1 * 32 * self.N
+
+    def test_bin_write_of_records_stages_at_most_one_block(self, cloud, tmp_path):
+        path = tmp_path / "scan.bin"
+        write_cloud(cloud, path)
+        records = read_cloud(path, CloudFormat("bin"))
+        peak = traced_peak(lambda: write_cloud(records, tmp_path / "out.bin"))
+        # the records are written in place: no more than one block of them
+        assert peak <= 16 * _IO_ROWS
+        assert (tmp_path / "out.bin").read_bytes() == path.read_bytes()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="minor fault counts as Linux reports them")
+    def test_bin_files_in_a_loop_reuse_their_memory(self, cloud, table06, fog06, sensor,
+                                                    tmp_path):
+        # one allocation per cloud is taken again from the heap for the next
+        # file; memory returned to the system after each file is faulted in
+        # again, page by page (a 120k-point cloud's buffer is about 700 pages)
+        import resource
+
+        path, out = tmp_path / "scan.bin", tmp_path / "out.bin"
+        write_cloud(cloud, path)
+        for k in range(40):
+            if k == 10:
+                faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            foggy = foggify_cloud(read_cloud(path), fog06, sensor, seed=k, table=table06,
+                                  in_place=True)
+            write_cloud(foggy.cloud, out)
+        per_file = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults) / 30
+        assert per_file < 200
 
     # per value of one _IO_ROWS block: its float64 and integer forms, the
     # 19-byte text field, the mask of its bytes and the text kept
