@@ -22,15 +22,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .optics import (
-    DEFAULT_BETA_0,
-    MAX_RANGE,
-    FogParams,
-    SensorModel,
-    hard_peak_intensity,
-)
+from .optics import DEFAULT_BETA_0, MAX_RANGE, FogParams, SensorModel
 from .rng import uniform01
-from .tables import SoftResponseTable, _lookup, build_table, query_soft_max
+from .tables import (
+    _INTENSITY_BAND,
+    SoftResponseTable,
+    _lookup,
+    _overshadow_bound,
+    build_table,
+    query_soft_max,
+)
 
 # training-style attenuation schedule: clear air through dense fog (MOR 50 m)
 DEFAULT_ALPHA_SCHEDULE = (0.0, 0.005, 0.01, 0.02, 0.03, 0.06)
@@ -174,40 +175,47 @@ def sample_alpha(schedule: Sequence[float], draw: float) -> float:
 
 
 def _transform_block(xyz, inten, soft, seed: int, lo: int,
-                     fog: FogParams, table: SoftResponseTable):
+                     fog: FogParams, table: SoftResponseTable, bound: float):
     """Vectorized per-point transform of one block; the single source of truth.
 
     `xyz` (m, 3) float64, or the float32 xyz of a block of records, and
     `inten` (m,) float64 are the block's rows, transformed in place: each is
-    read before it is written (the overflow check reads `inten` before the
-    new intensities are stored, and the relocated rows are gathered into a
-    copy).  The arithmetic is float64 for either dtype; float32 xyz receives
-    each relocated coordinate rounded once, as a write of float64 xyz
-    rounds it.  `soft` (m,) bool receives the relocated mask.  The block
-    starts at cloud row `lo`; only its relocated rows k are drawn, with
-    `uniform01(seed, lo + k)`, and the other rows keep their coordinates'
-    bytes without any arithmetic.  Skipped points (zero/overlong range,
-    non-finite coordinates, negative or non-finite intensity) pass through
-    unchanged; the return value counts them.  A fog return that overflows
-    raises ValueError naming the point, or beta and beta_0 if it overflows
-    at unit intensity.  The table is read with `tables._lookup`, the lookup
-    of `query_soft_max`, and the hard peak comes
-    from `hard_peak_intensity`.
+    read before it is written.  The arithmetic is float64 for either dtype;
+    float32 xyz receives each relocated coordinate rounded once, as a write
+    of float64 xyz rounds it.  `soft` (m,) bool receives the relocated
+    mask.  The block starts at cloud row `lo`; only its relocated rows k are
+    drawn, with `uniform01(seed, lo + k)`, and the other rows keep their
+    coordinates' bytes without any arithmetic.  Skipped points (zero/overlong
+    range, non-finite coordinates, negative or non-finite intensity) pass
+    through unchanged; the return value counts them.  A fog return that
+    overflows raises ValueError naming the point, or beta and beta_0 if it
+    overflows at unit intensity.  The table is read with `tables._lookup`,
+    the lookup of `query_soft_max`, and the hard peak is formed as
+    `hard_peak_intensity` forms it.
 
-    The arithmetic runs in place on a few block-sized buffers, with the
-    operations, operands and order of the plain expressions in the comments,
-    so the bits are theirs.  The steps are ordered so that at most four
-    float64 block arrays are live at once: the range, then the table's
-    i_tmp (computed in the buffer that held the grid index), then the
-    sanitized intensity and the hard peak, each evaluated in one buffer.
-    They are freed before the relocated rows are gathered, and only those
-    rows get their table range r_tmp.  The relocation holds at most five
-    arrays of relocated rows, so below the lookup unless more than four in
-    five rows move (traced, a 32768-row block peaked at 1.08 MB with none
-    and 1.31 MB with every row relocated).  In place is faster: plain peak
-    comparisons took 5.70 against 5.29 ms on a 118,876-point scan (2 vCPUs)
-    at about the same peak, and plain relocation of a 120k-point cloud went
-    past `TestCloudPeakMemory`'s two-thread bound.
+    Rows the fog cannot overshadow skip the soft-return rule.  A valid row
+    with r0 below `bound` (`tables._overshadow_bound`, one value per call)
+    and an intensity in `tables._INTENSITY_BAND` gets its hard peak
+    i * exp(-2 * alpha * r0), which is the rule's output for it bit for bit
+    (the proof is in `_overshadow_bound`).  Only the other valid rows, the
+    candidates, are gathered by index and go through the rule: the table's
+    i_tmp, the soft peak and the overflow check, while the block's
+    intensities are still as read.  Then every valid row's hard peak is
+    formed in the range's own buffer and stored, and the candidates whose
+    soft peak beats it take the soft peak.  A block holds one float64 block
+    array, the range, beside the valid mask and the candidates' arrays: at
+    most four values per candidate (its index, range, soft peak and i_tmp),
+    so on KITTI-like scans, where 91% (alpha 0.06) to 99.9% (alpha <= 0.01)
+    of the rows lie below the bound, the block peaks while the range is
+    formed, at 16 bytes per row.  The relocation holds at most five arrays
+    of relocated rows, and only those rows get their table range r_tmp.
+
+    The arithmetic runs in place, with the operations, operands and order
+    of the plain expressions in the comments, so the bits are theirs.  In
+    place is faster: plain peak comparisons took 5.70 against 5.29 ms on a
+    118,876-point scan (2 vCPUs) at about the same peak, and plain
+    relocation of a 120k-point cloud went past `TestCloudPeakMemory`'s
+    two-thread bound.
     """
     x, y, z = xyz[:, 0], xyz[:, 1], xyz[:, 2]
     # r0s = sqrt(x * x + y * y + z * z), in float64 from either dtype: square
@@ -224,42 +232,56 @@ def _transform_block(xyz, inten, soft, seed: int, lo: int,
     valid &= r0s <= MAX_RANGE
     valid &= inten >= 0.0
     valid &= inten < np.inf
-    # sanitized rows keep the dead lanes free of stray inf/nan arithmetic:
-    # r0s = where(valid, r0, 1.0) and inten_s = where(valid, inten, 0.0), so
-    # there i_soft = i_hard = 0 (finite beta and table, beta_0 > 0): not soft
-    np.copyto(r0s, 1.0, where=~valid)
-    i_tmp = _lookup(table.prefix_max, r0s)
-    inten_s = np.where(valid, inten, 0.0)
-    i_hard = hard_peak_intensity(inten_s, r0s, fog.alpha)
-    # inten_s becomes i_soft = (inten_s * r0s * r0s / beta_0) * beta * i_tmp
+    n_skipped = valid.size - int(np.count_nonzero(valid))
+    # the candidates: valid rows at or past the bound or out of the band
+    band_lo, band_hi = _INTENSITY_BAND
+    cand = np.greater_equal(r0s, bound)
+    cand |= inten < band_lo
+    cand |= inten > band_hi
+    cand &= valid
+    c = np.flatnonzero(cand)
+    del cand
+    r0c = r0s[c]
+    i_tmp = _lookup(table.prefix_max, r0c)
+    # the candidates' soft peaks, i_soft = (inten * r0 * r0 / beta_0) * beta * i_tmp
+    i_soft = inten[c]
     with np.errstate(over="ignore", invalid="ignore"):
-        inten_s *= r0s
-        inten_s *= r0s
-        inten_s /= fog.beta_0
-        inten_s *= fog.beta
-        inten_s *= i_tmp
+        i_soft *= r0c
+        i_soft *= r0c
+        i_soft /= fog.beta_0
+        i_soft *= fog.beta
+        i_soft *= i_tmp
     del i_tmp
-    np.greater(inten_s, i_hard, out=soft)
-    # an overflowed i_soft is inf, which beats the finite i_hard, so the
-    # relocated rows hold every overflow (inf * 0 is NaN and never wins)
-    overflow = np.flatnonzero(soft & ~np.isfinite(inten_s))
+    # the hard peak of a valid row is finite, so an overflowed i_soft, inf,
+    # would win (inf * 0 is NaN and never wins)
+    overflow = np.flatnonzero(i_soft == np.inf)
     if overflow.size:
-        j = int(overflow[0])  # the first overflowing row
+        j = int(c[overflow[0]])  # the first overflowing row
         r0 = float(r0s[j])
-        i_tmp = query_soft_max(table, r0)[0]  # the block's i_tmp is freed: re-read
+        i_tmp = query_soft_max(table, r0)[0]  # the candidates' i_tmp is freed: re-read
         if math.isfinite(r0 * r0 / fog.beta_0 * fog.beta * i_tmp):  # unit intensity
             raise ValueError(f"point {lo + j} (intensity {float(inten[j])!r}, range {r0!r} m) "
                              "has a fog return that overflows")
         raise ValueError(f"the fog return overflows: beta={fog.beta} and "
                          f"beta_0={fog.beta_0} give a non-finite intensity")
-    np.copyto(inten, i_hard, where=valid)
-    np.copyto(inten, inten_s, where=soft)
-    n_skipped = valid.size - int(np.count_nonzero(valid))
-    # from here on only the relocated rows are read: free the block buffers,
-    # then gather the relocated ranges and look up their table ranges
-    del inten_s, i_hard, valid
-    k = np.flatnonzero(soft)
-    r0s = r0s[k]
+    # every valid row takes its hard peak inten * exp(-2 * alpha * r0s), as
+    # `hard_peak_intensity` forms it, in the range's buffer (skipped rows may
+    # give -0.0 * inf there)
+    with np.errstate(invalid="ignore"):
+        np.multiply(-2.0 * fog.alpha, r0s, out=r0s)
+    np.exp(r0s, out=r0s)
+    np.multiply(inten, r0s, out=inten, where=valid)
+    del r0s, valid
+    # then the candidates whose soft peak beats it take the soft peak
+    relocated = i_soft > inten[c]
+    k = c[relocated]
+    inten[k] = i_soft[relocated]
+    soft[...] = False
+    soft[k] = True
+    # from here on only the relocated rows are read: free the candidates'
+    # arrays, then look up the relocated rows' table ranges
+    r0s = r0c[relocated]
+    del c, r0c, i_soft, relocated
     r_tmp = _lookup(table.prefix_argmax, r0s)
 
     # noise factor 2^p with p uniform in [-1, 1); the new range n * r_tmp is
@@ -343,7 +365,10 @@ def foggify_cloud(
     is `cloud` itself; after an overflow error it holds a partial result.
     The uint8 provenance is allocated once and the rescale runs in place.
     Besides the cloud, the output (unless `in_place`) and the provenance, a
-    call holds only each thread's block buffers.
+    call holds only each thread's block buffers.  Each call first finds the
+    range below which the fog relocates no point
+    (`tables._overshadow_bound`, about 0.05 ms), and the blocks attenuate
+    the points below it without the soft-return rule.
     """
     if workers is not None and not (isinstance(workers, numbers.Integral) and workers >= 1):
         raise ValueError(f"workers must be an integer of at least 1, got {workers!r}")
@@ -368,6 +393,7 @@ def foggify_cloud(
     # provenance is written through a bool view of its bytes
     provenance = np.empty(n, dtype=np.uint8)
     soft = provenance.view(np.bool_)
+    bound = _overshadow_bound(table, fog)
 
     def run_block(lo: int) -> int:
         hi = lo + _BLOCK_SIZE  # the slices stop at n
@@ -375,7 +401,7 @@ def foggify_cloud(
         if not in_place:
             np.copyto(rows_out[lo:hi], rows_in[lo:hi])
             np.copyto(inten, cloud.intensity[lo:hi])
-        return _transform_block(xyz, inten, soft[lo:hi], seed, lo, fog, table)
+        return _transform_block(xyz, inten, soft[lo:hi], seed, lo, fog, table, bound)
 
     starts = range(0, n, _BLOCK_SIZE)
     if workers is None:

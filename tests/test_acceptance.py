@@ -39,7 +39,8 @@ from lidarfog import (
     write_cloud,
 )
 from lidarfog import fog_from_alpha
-from lidarfog.optics import RANGE_STEP, SPEED_OF_LIGHT
+from lidarfog.optics import MAX_RANGE, RANGE_STEP, SPEED_OF_LIGHT
+from lidarfog.tables import _overshadow_bound
 
 from oracles import (
     brute_force_match_mask,
@@ -286,6 +287,18 @@ def test_criterion_6_threshold_monotone_with_goldens(tables, sensor):
     ok = ok and all(a >= b for a, b in zip(seq, seq[1:]))
     _report(6, f"overshadow threshold nonincreasing in alpha, program and oracle match "
                f"the goldens: {thresholds}, oracle {oracle}", ok)
+
+
+def test_bound_is_rstar_within_one_step(tables):
+    # the kernel attenuates the rows below `_overshadow_bound` without the
+    # soft-return rule: the bound must not pass R*, and it lies at most a
+    # grid cell and rounding below it (at or past MAX_RANGE where R* is none)
+    for alpha, rstar in RSTAR_GOLDEN.items():
+        bound = _overshadow_bound(tables[alpha], fog_from_alpha(alpha))
+        if rstar is None:
+            assert bound >= MAX_RANGE, (alpha, bound)
+        else:
+            assert rstar - 1.5 * RANGE_STEP < bound <= rstar, (alpha, bound)
 
 
 def test_criterion_7_halfcircle_scene(tables, sensor):

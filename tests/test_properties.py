@@ -37,7 +37,7 @@ from lidarfog import (
 from lidarfog.optics import (MAX_RANGE, RANGE_STEP, SensorModel, hard_peak_intensity,
                              soft_response_integrals)
 from lidarfog.rng import stable_key64, uniform01
-from lidarfog.tables import _lookup, _prefix_max_argmax
+from lidarfog.tables import _INTENSITY_BAND, _lookup, _overshadow_bound, _prefix_max_argmax
 from oracles import brute_force_match_mask, dense_transform_reference
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -174,21 +174,85 @@ def dense_foggify(cloud, fog, table, seed, rescale, block):
     return np.column_stack((x, y, z)), inten, soft.astype(np.uint8), stats
 
 
+# fogs past the defaults, where the kernel's bound must fall back to 0: a
+# beta whose soft peaks overflow, a subnormal beta_0, and a tiny beta_0 that
+# overflows the soft peak's third step, i * r0 * r0 / beta_0, while the
+# fog's soft/hard ratio stays far below 1
+FOG_VARIANTS = ({}, {"beta": 1e308}, {"beta_0": 1e-320}, {"beta": 1e-300, "beta_0": 1e-300})
+# intensities at and one ulp past the edges of the kernel's intensity band
+BAND_LO, BAND_HI = _INTENSITY_BAND
+PROBE_INTENSITIES = (0.0, 5e-324, BAND_LO, BAND_HI, math.nextafter(BAND_LO, 0.0),
+                     math.nextafter(BAND_HI, math.inf), 1e300)
+
+
+@st.composite
+def probes(draw):
+    """Rows on a coordinate axis near the kernel's bound or a grid cell's end:
+    (anchor, offset, axis, sign, intensity), where the anchor is None for the
+    bound or k for the cell end k * RANGE_STEP, and the offset is absolute
+    (within two grid steps), relative (within 1e-9) or a count of ulps."""
+    return draw(st.lists(st.tuples(
+        st.one_of(st.none(), st.integers(1, 2001)),
+        st.one_of(st.tuples(st.just("abs"), st.floats(-2 * RANGE_STEP, 2 * RANGE_STEP)),
+                  st.tuples(st.just("rel"), st.floats(-1e-9, 1e-9)),
+                  st.tuples(st.just("ulps"), st.integers(-3, 3))),
+        st.integers(0, 2), st.sampled_from((1.0, -1.0)),
+        st.one_of(st.sampled_from(PROBE_INTENSITIES), st.floats(0.0, 300.0))), max_size=12))
+
+
+def with_probes(cloud, rows, bound):
+    """`cloud` followed by the probe rows, placed relative to `bound`; a row on
+    an axis has the range |r| exactly, as sqrt(r * r) is |r|."""
+    xyz, inten = [], []
+    for anchor, (kind, d), axis, sign, i in rows:
+        r = bound if anchor is None else anchor * RANGE_STEP
+        if kind == "abs":
+            r += d
+        elif kind == "rel":
+            r *= 1.0 + d
+        else:
+            for _ in range(abs(d)):
+                r = math.nextafter(r, math.copysign(math.inf, d))
+        xyz.append([0.0, 0.0, 0.0])
+        xyz[-1][axis] = sign * r
+        inten.append(i)
+    return PointCloud(np.vstack([cloud.xyz] + xyz), np.concatenate((cloud.intensity, inten)))
+
+
 @PROPERTY
 @given(cloud=clouds(max_points=30), zero_rows=st.lists(st.integers(0, 29), max_size=3),
-       alpha=st.sampled_from((0.0, 0.005, 0.06, 0.5)), seed=st.integers(0, 2**32),
+       alpha=st.sampled_from((0.0, 0.005, 0.06, 0.5, 10.0)),
+       variant=st.sampled_from(FOG_VARIANTS), rows=probes(), seed=st.integers(0, 2**32),
        rescale=st.booleans(), workers=st.sampled_from((1, 3)))
-def test_sparse_kernel_matches_dense_reference(sensor, cloud, zero_rows, alpha, seed,
-                                               rescale, workers):
-    """The kernel draws and relocates only the points fog replaces; every output
-    bit equals the dense reference that draws and relocates every point."""
+# just past the bound, where the fog wins within a grid step
+@example(cloud=PointCloud(np.ones((1, 3)), np.ones(1)), zero_rows=[], alpha=0.06, variant={},
+         rows=[(None, ("abs", 0.05), 0, 1.0, 100.0)], seed=0, rescale=False, workers=1)
+# the band's greatest intensity, whose soft peak overflows before beta scales it down
+@example(cloud=PointCloud(np.ones((1, 3)), np.ones(1)), zero_rows=[], alpha=0.06,
+         variant=FOG_VARIANTS[3], rows=[(500, ("ulps", 0), 1, -1.0, BAND_HI)], seed=0,
+         rescale=False, workers=1)
+def test_sparse_kernel_matches_dense_reference(sensor, cloud, zero_rows, alpha, variant, rows,
+                                               seed, rescale, workers):
+    """The kernel draws and relocates only the points fog replaces, and
+    attenuates the rows below its bound without the soft-return rule; every
+    output bit equals the dense reference that draws and relocates every
+    point.  Probe rows sit at the edges of the bound, the grid cells and the
+    intensity band, also for fogs whose soft peaks overflow."""
     for i in zero_rows:
         cloud.xyz[i % len(cloud)] = 0.0
     fog, table = fog_and_table(alpha, sensor)
+    fog = dataclasses.replace(fog, **variant)
+    cloud = with_probes(cloud, rows, _overshadow_bound(table, fog))
+    with np.errstate(over="ignore", invalid="ignore"):
+        xyz, inten, provenance, stats = dense_foggify(cloud, fog, table, seed, rescale, 7)
     with mock.patch.object(foggify, "_BLOCK_SIZE", 7):
+        if np.any(provenance.astype(bool) & ~np.isfinite(inten)):
+            # a relocated point's fog return overflows: the kernel names it
+            with pytest.raises(ValueError, match="overflows"):
+                foggify_cloud(cloud, fog, sensor, seed=seed, table=table, workers=workers)
+            return
         out = foggify_cloud(cloud, fog, sensor, seed=seed, rescale=rescale, table=table,
                             workers=workers)
-    xyz, inten, provenance, stats = dense_foggify(cloud, fog, table, seed, rescale, 7)
     assert same_bits(out.cloud.xyz, xyz)
     assert same_bits(out.cloud.intensity, inten)
     assert same_bits(out.provenance, provenance)

@@ -136,6 +136,9 @@ class TestCloudPeakMemory:
     and `sweep` foggify the cloud in place with a few block buffers per
     thread, and the write narrows the intensity into the records and writes
     them in one write.  No stage makes a staging copy of a whole cloud.
+    Rows below the fog's overshadow bound skip the soft-return rule, so on
+    a scan of few candidates a block holds one float64 block array and its
+    masks; each candidate row adds at most four values.
     With whole-cloud copies, float64 record staging and 65536-row blocks,
     the same calls peaked at 2.9 C (1 worker) and 2.9-4.1 C (2 workers) for
     `foggify_cloud`, 2.0 C for the read and 1.5 C for the write; with
@@ -146,11 +149,13 @@ class TestCloudPeakMemory:
     """
 
     N = 120_000
-    # per thread: six float64 values per row of a 32768-row block.  A block
-    # holds four float64 arrays and a bool mask at its lookup peak (33 bytes
-    # per row traced on this cloud) and at most five values per relocated
-    # row after it (40 bytes per row with every row relocated); the sixth
-    # value is the margin
+    # per thread: six float64 values per row of a 32768-row block.  While the
+    # peaks are compared a block holds the range, a bool mask and four values
+    # per candidate row, one at or past the overshadow bound (34 bytes per
+    # row traced on this cloud, where 3 in 4 rows are candidates; 41 with
+    # every row one), and after that at most five values per relocated row
+    # (40 bytes per row with every row relocated); the sixth value is the
+    # margin
     BLOCK_WORKSET = 6 * 8 * 32768
 
     @pytest.fixture(scope="class")
@@ -180,6 +185,32 @@ class TestCloudPeakMemory:
         # the uint8 provenance (n) and the block buffers; no output cloud
         threads = workers or 1
         assert peak < self.N + threads * self.BLOCK_WORKSET
+
+    # per thread on a cloud of few candidates: three float64 values per row of
+    # a 32768-row block.  Its peak is the range and the square being added
+    # to it (16 bytes per row traced)
+    FEW_CANDIDATES_WORKSET = 3 * 8 * 32768
+
+    @pytest.fixture(scope="class")
+    def kitti_like(self):
+        # ranges 2-40 m, denser near the sensor as in a KITTI scan: at alpha
+        # 0.06 (R* = 35.6 m) about one point in 25 lies past the bound
+        rng = np.random.default_rng(63)
+        d = rng.normal(size=(self.N, 3))
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        r = np.exp(rng.uniform(np.log(2.0), np.log(40.0), (self.N, 1)))
+        return PointCloud(d * r, rng.uniform(0, 1, self.N))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_foggify_in_place_below_the_bound_holds_one_block_array(
+            self, kitti_like, table06, fog06, sensor, workers):
+        out = foggify_cloud(kitti_like, fog06, sensor, seed=1, table=table06)
+        assert 0 < out.stats.fraction_replaced < 0.1
+        mine = PointCloud(kitti_like.xyz.copy(), kitti_like.intensity.copy())
+        peak = traced_peak(lambda: foggify_cloud(mine, fog06, sensor, seed=1, table=table06,
+                                                 workers=workers, in_place=True))
+        # the uint8 provenance (n) and each thread's block buffers
+        assert peak < self.N + workers * self.FEW_CANDIDATES_WORKSET
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_foggify_records_in_place_holds_only_block_buffers(self, cloud, table06, fog06,
@@ -214,6 +245,21 @@ class TestCloudPeakMemory:
         # the records are written in place: no more than one block of them
         assert peak <= 16 * _IO_ROWS
         assert (tmp_path / "out.bin").read_bytes() == path.read_bytes()
+
+    def test_bin_read_holds_one_allocation(self, cloud, tmp_path):
+        # the records and the float64 intensity share one buffer, 24 n bytes
+        # at four columns, which the next file can take again from the heap;
+        # the fault count below does not tell one allocation from two
+        path = tmp_path / "scan.bin"
+        write_cloud(cloud, path)
+        tracemalloc.start()
+        try:
+            read = read_cloud(path)
+            sizes = [t.size for t in tracemalloc.take_snapshot().traces if t.size >= 8 * self.N]
+        finally:
+            tracemalloc.stop()
+        assert len(read) == self.N
+        assert sizes == [24 * self.N]
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="minor fault counts as Linux reports them")

@@ -19,6 +19,7 @@ import lidarfog
 from lidarfog import cli
 from lidarfog.foggify import _BLOCK_SIZE, _BLOCKS_PER_THREAD
 from lidarfog.pointcloud_io import _PAIR_BUDGET
+from lidarfog.tables import _INTENSITY_BAND, _RATIO_MARGIN
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -107,6 +108,17 @@ def test_readme_pair_budget_is_the_code_figure():
     text = README_PATH.read_text(encoding="utf-8")
     powers = re.findall(r"checks at most 2\^(\d+)\s+candidate pairs", text)
     assert powers and all(2 ** int(p) == _PAIR_BUDGET for p in powers), powers
+
+
+def test_readme_overshadow_band_and_margin_are_the_code_figures():
+    # "How it works" states the intensity band and the ratio margin of the
+    # kernel's overshadow bound
+    text = README_PATH.read_text(encoding="utf-8")
+    bands = re.findall(r"intensity band\s+\[2\^(-?\d+), 2\^(\d+)\]", text)
+    assert bands and all((2.0 ** int(lo), 2.0 ** int(hi)) == _INTENSITY_BAND
+                         for lo, hi in bands), bands
+    margins = re.findall(r"1 - (\d(?:\.\d+)?e-\d+)", text)
+    assert margins and all(float(m) == _RATIO_MARGIN for m in margins), margins
 
 
 CLI_PATH = Path(lidarfog.__file__).with_name("cli.py")
