@@ -27,7 +27,6 @@ from .optics import (
     SensorModel,
     clear_response,
     crossover,
-    hard_peak_intensity,
     soft_integrand,
     soft_response_integral,
     transmission,
@@ -70,7 +69,6 @@ __all__ = [
     "fog_from_alpha",
     "fog_from_mor",
     "foggify_cloud",
-    "hard_peak_intensity",
     "intersect_returns",
     "mor_to_alpha",
     "mor_to_beta",

@@ -30,7 +30,6 @@ from .tables import (
     _lookup,
     _overshadow_bound,
     build_table,
-    query_soft_max,
 )
 
 # training-style attenuation schedule: clear air through dense fog (MOR 50 m)
@@ -189,9 +188,9 @@ def _transform_block(xyz, inten, soft, seed: int, lo: int,
     range, non-finite coordinates, negative or non-finite intensity) pass
     through unchanged; the return value counts them.  A fog return that
     overflows raises ValueError naming the point, or beta and beta_0 if it
-    overflows at unit intensity.  The table is read with `tables._lookup`,
-    the lookup of `query_soft_max`, and the hard peak is formed as
-    `hard_peak_intensity` forms it.
+    overflows at unit intensity.  The table is read only with
+    `tables._lookup`, the lookup of `query_soft_max`, and the hard peak is
+    formed as `tests/oracles.py::hard_peak` forms it.
 
     Rows the fog cannot overshadow skip the soft-return rule.  A valid row
     with r0 below `bound` (`tables._overshadow_bound`, one value per call)
@@ -212,9 +211,10 @@ def _transform_block(xyz, inten, soft, seed: int, lo: int,
 
     The arithmetic runs in place, with the operations, operands and order
     of the plain expressions in the comments, so the bits are theirs.  In
-    place is faster: plain peak comparisons took 5.70 against 5.29 ms on a
-    118,876-point scan (2 vCPUs) at about the same peak, and plain
-    relocation of a 120k-point cloud went past `TestCloudPeakMemory`'s
+    place was faster when every row took the rule: plain peak comparisons
+    of whole blocks took 5.70 against 5.29 ms on a 118,876-point scan (2
+    vCPUs) at about the same peak, measured before the overshadow bound.
+    Plain relocation of a 120k-point cloud went past `TestCloudPeakMemory`'s
     two-thread bound.
     """
     x, y, z = xyz[:, 0], xyz[:, 1], xyz[:, 2]
@@ -258,15 +258,16 @@ def _transform_block(xyz, inten, soft, seed: int, lo: int,
     if overflow.size:
         j = int(c[overflow[0]])  # the first overflowing row
         r0 = float(r0s[j])
-        i_tmp = query_soft_max(table, r0)[0]  # the candidates' i_tmp is freed: re-read
+        # the candidates' i_tmp is freed: re-read this row's
+        i_tmp = float(_lookup(table.prefix_max, r0s[j:j + 1])[0])
         if math.isfinite(r0 * r0 / fog.beta_0 * fog.beta * i_tmp):  # unit intensity
             raise ValueError(f"point {lo + j} (intensity {float(inten[j])!r}, range {r0!r} m) "
                              "has a fog return that overflows")
         raise ValueError(f"the fog return overflows: beta={fog.beta} and "
                          f"beta_0={fog.beta_0} give a non-finite intensity")
     # every valid row takes its hard peak inten * exp(-2 * alpha * r0s), as
-    # `hard_peak_intensity` forms it, in the range's buffer (skipped rows may
-    # give -0.0 * inf there)
+    # `tests/oracles.py::hard_peak` forms it, in the range's buffer (skipped
+    # rows may give -0.0 * inf there)
     with np.errstate(invalid="ignore"):
         np.multiply(-2.0 * fog.alpha, r0s, out=r0s)
     np.exp(r0s, out=r0s)

@@ -167,23 +167,6 @@ def clear_response(r, r0, energy: PulseEnergy, fog: FogParams, sensor: SensorMod
     return np.where(inside, val, 0.0)
 
 
-def hard_peak_intensity(i, r0, alpha):
-    """Peak intensity of a hard target after two-way fog attenuation.
-
-    i * exp(-2 * alpha * r0): the clear-weather reading scaled by the
-    round-trip transmission loss.  Evaluated in one float64 buffer of the
-    result's shape; scalar arguments give a numpy float64.
-    """
-    r0 = np.asarray(r0, dtype=np.float64)
-    if not np.all(r0 > 0):
-        raise ValueError("hard-target range must be positive")
-    out = np.empty(np.broadcast_shapes(np.shape(i), r0.shape))
-    np.multiply(-2.0 * alpha, r0, out=out)
-    np.exp(out, out=out)
-    np.multiply(i, out, out=out)
-    return out[()]
-
-
 def soft_integrand(t, r, fog: FogParams, sensor: SensorModel):
     """Integrand of the distributed fog return at evaluation range r.
 

@@ -36,8 +36,8 @@ from .foggify import PointCloud
 BIN_KIND = "bin"
 PLY_KIND = "ply"
 DEFAULT_MATCH_TOLERANCE = 1e-3  # [m]
-# rows per block of the bin finite check, the write of a cloud without
-# records and the PLY write: bounds the float32 records and text held at once
+# rows per block of the finite check of a read, the write of a cloud without
+# records and the PLY write: bounds the flags, float32 records and text held at once
 _IO_ROWS = 8192
 
 
@@ -69,14 +69,26 @@ class CloudFormat:
             raise ValueError("column-count override applies to the binary format only")
 
 
-def _nonfinite_rows(rows: np.ndarray) -> int:
-    """How many rows hold a NaN or infinite value."""
-    finite = np.isfinite(rows)
-    return 0 if finite.all() else int(np.count_nonzero(~finite.all(axis=1)))
+def _finite_rows(rows: np.ndarray) -> np.ndarray:
+    """Whether each row's values are all finite, built column by column:
+    about a tenth of the time of `np.isfinite(rows).all(axis=1)` on 8192-row
+    blocks of 3 to 5 columns."""
+    finite = np.isfinite(rows[:, 0])
+    for j in range(1, rows.shape[1]):
+        finite &= np.isfinite(rows[:, j])
+    return finite
 
 
-def _check_finite(bad: int, path):
-    """Reject a file with `bad` rows that hold non-finite values."""
+def _check_finite(rows: np.ndarray, path):
+    """Reject a file whose rows hold NaN or infinite values, counted
+    `_IO_ROWS` rows at a time.  Only a block that is not all finite gets its
+    row flags: a 120k-record bin read took 0.68 ms with the whole-block
+    test and 0.98 ms with row flags for every block (2 vCPUs)."""
+    bad = 0
+    for lo in range(0, len(rows), _IO_ROWS):
+        block = rows[lo:lo + _IO_ROWS]
+        if not np.isfinite(block).all():
+            bad += int(np.count_nonzero(~_finite_rows(block)))
     if bad:
         raise MalformedFileError(
             f"{path}: {bad} record(s) with non-finite values "
@@ -108,8 +120,7 @@ def _read_bin(path, allow_nonfinite: bool, columns: int) -> PointCloud:
                                      f"of the {size} it had when opened")
     rows = cloud.records[:, :4]
     if not allow_nonfinite:
-        _check_finite(sum(_nonfinite_rows(rows[lo:lo + _IO_ROWS])
-                          for lo in range(0, len(rows), _IO_ROWS)), path)
+        _check_finite(rows, path)
     with np.errstate(invalid="ignore"):  # raised as a signaling NaN widens
         cloud.intensity[:] = rows[:, 3]
     return cloud
@@ -207,7 +218,7 @@ def _read_ply(path, allow_nonfinite: bool) -> PointCloud:
         raise MalformedFileError(f"{path}: header declares {n} vertices of 4 values, "
                                  f"found {rows.shape[0]} rows of {rows.shape[1]}")
     if not allow_nonfinite:
-        _check_finite(_nonfinite_rows(rows), path)
+        _check_finite(rows, path)
     return PointCloud(rows[:, :3], rows[:, 3])
 
 
@@ -350,12 +361,6 @@ def _cell_scale(tol2: float, extent: float) -> float:
     """
     reach = math.sqrt(tol2 + math.ulp(0.0)) * (1.0 + 2.0 ** -30)
     return (1.0 - 2.0 ** -10) / max(2.0 * reach, extent * 2.0 ** -40)
-
-
-def _finite_rows(xyz: np.ndarray) -> np.ndarray:
-    """Whether each row's x, y and z are finite, built column by column:
-    a seventh of the time of `np.isfinite(xyz).all(axis=1)`."""
-    return np.isfinite(xyz[:, 0]) & np.isfinite(xyz[:, 1]) & np.isfinite(xyz[:, 2])
 
 
 def _finite_blocks(xyz: np.ndarray):

@@ -110,6 +110,13 @@ def overshadow_range(alpha, n=2000):
     return None
 
 
+def hard_peak(i, r0, alpha):
+    """i * exp(-2 * alpha * r0) with the per-point kernel's operations in its
+    order: the exponent -2 * alpha times r0, its exp, then times i.  The bit
+    for bit reference of the intensity `foggify_cloud` gives a kept point."""
+    return np.multiply(i, np.exp(np.multiply(-2.0 * alpha, r0)))
+
+
 def brute_force_match_mask(strongest_xyz, last_xyz, tol):
     """For each strongest point: any last point within tol, pair by pair.
 

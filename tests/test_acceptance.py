@@ -28,7 +28,6 @@ from lidarfog import (
     clear_response,
     crossover,
     foggify_cloud,
-    hard_peak_intensity,
     intersect_returns,
     naive_soft_max,
     query_soft_max,
@@ -130,16 +129,22 @@ def test_criterion_1_analytic_limits(sensor):
                    if 0 <= u <= span else 0.0)
     check(got, ref)
 
-    i = rng.uniform(0.0, 255.0, n)
-    r0 = rng.uniform(0.1, 200.0, n)
-    a = rng.uniform(0.0, 0.3, n)
-    check(hard_peak_intensity(i, r0, a),
-          [ii * math.exp(-2.0 * aa * x0) for ii, x0, aa in zip(i, r0, a)])
+    # the hard peak foggify_cloud writes: 100 alphas of 100 targets each, on
+    # the x axis so that the kernel's range sqrt(r0 * r0) is r0, in fogs of
+    # beta 0, which relocate no point
+    kept = True
+    for aa in rng.uniform(0.0, 0.3, n // 100):
+        i = rng.uniform(0.0, 255.0, 100)
+        r0 = rng.uniform(0.1, 200.0, 100)
+        targets = PointCloud(np.column_stack((r0, np.zeros((100, 2)))), i)
+        out = foggify_cloud(targets, FogParams(alpha=aa, beta=0.0), sensor, rescale=False)
+        kept &= bool(np.all(out.provenance == Provenance.HARD_KEPT))
+        check(out.cloud.intensity, [ii * math.exp(-2.0 * aa * x0) for ii, x0 in zip(i, r0)])
 
     elapsed = time.perf_counter() - t0
     _report(1, f"closed forms at 5x{n} draws, max rel err {worst:.2e} "
-               f"(tol 1e-12), {elapsed:.1f}s (cap 5s)",
-            worst <= 1e-12 and elapsed < 5.0)
+               f"(tol 1e-12), {elapsed:.1f}s (cap 5s), hard peaks all kept: {kept}",
+            worst <= 1e-12 and elapsed < 5.0 and kept)
 
 
 def test_criterion_2_quadrature_oracle(sensor):
@@ -223,7 +228,7 @@ def _soft_hard_ratio_at(r0, alpha, table):
     ca_p0 = 100.0 * r0 * r0 / fog.beta_0
     i_tmp, _ = query_soft_max(table, r0)
     soft_max = ca_p0 * fog.beta * i_tmp
-    hard_max = hard_peak_intensity(100.0, r0, alpha)
+    hard_max = 100.0 * math.exp(-2.0 * alpha * r0)
     return soft_max / hard_max
 
 

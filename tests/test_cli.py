@@ -198,31 +198,37 @@ class TestSimulate:
             assert "overflows" in capsys.readouterr().err
             assert not any(path.exists() for path in outputs)
 
-    @pytest.fixture
-    def huge_intensity_ply(self, tmp_path):
-        # a finite intensity that only a float64 PLY body can carry
+    @staticmethod
+    def huge_intensity_scans(tmp_path):
+        """A two-point PLY scan whose point 0, on the x axis, has a finite
+        intensity that only a float64 PLY body can carry: at 50 m, and at
+        MAX_RANGE, the table's far end, where the lookup clips.  Yields each
+        scan with its point's range."""
         path = tmp_path / "scan.ply"
-        path.write_text(_PLY_HEADER.format(n=2) + "50 0 0 1e300\n10 0 0 0.5\n")
-        return path
+        for r0 in (50.0, MAX_RANGE):
+            path.write_text(_PLY_HEADER.format(n=2) + f"{r0!r} 0 0 1e300\n10 0 0 0.5\n")
+            yield path, r0
 
-    def test_overflowing_intensity_names_the_point(self, huge_intensity_ply, tmp_path, capsys):
+    def test_overflowing_intensity_names_the_point(self, tmp_path, capsys):
         out = tmp_path / "o.ply"
-        assert main(["simulate", "--input", str(huge_intensity_ply), "--output", str(out),
-                     "--format", "ply", "--alpha", "0.06"]) == 2
-        # the fog parameters are valid and are not blamed
-        assert capsys.readouterr().err == ("error: point 0 (intensity 1e+300, range 50.0 m) "
-                                           "has a fog return that overflows\n")
-        assert not out.exists()
+        for scan, r0 in self.huge_intensity_scans(tmp_path):
+            assert main(["simulate", "--input", str(scan), "--output", str(out),
+                         "--format", "ply", "--alpha", "0.06"]) == 2
+            # the fog parameters are valid and are not blamed
+            assert capsys.readouterr().err == (
+                f"error: point 0 (intensity 1e+300, range {r0!r} m) "
+                "has a fog return that overflows\n")
+            assert not out.exists()
 
-    def test_fog_overflowing_at_unit_intensity_names_the_fog(self, huge_intensity_ply,
-                                                              tmp_path, capsys):
+    def test_fog_overflowing_at_unit_intensity_names_the_fog(self, tmp_path, capsys):
         out = tmp_path / "o.ply"
-        assert main(["simulate", "--input", str(huge_intensity_ply), "--output", str(out),
-                     "--format", "ply", "--alpha", "0.06", "--beta", "1e300",
-                     "--beta0", "1e-300"]) == 2
-        assert capsys.readouterr().err == ("error: the fog return overflows: beta=1e+300 and "
-                                           "beta_0=1e-300 give a non-finite intensity\n")
-        assert not out.exists()
+        for scan, _ in self.huge_intensity_scans(tmp_path):
+            assert main(["simulate", "--input", str(scan), "--output", str(out),
+                         "--format", "ply", "--alpha", "0.06", "--beta", "1e300",
+                         "--beta0", "1e-300"]) == 2
+            assert capsys.readouterr().err == ("error: the fog return overflows: beta=1e+300 and "
+                                               "beta_0=1e-300 give a non-finite intensity\n")
+            assert not out.exists()
 
     def test_empty_input_exits_1_and_names_file(self, tmp_path, capsys):
         empty = tmp_path / "empty.bin"

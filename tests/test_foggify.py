@@ -211,6 +211,39 @@ class TestFoggifyPoint:
                 foggify_row(30.0, 0.0, 0.0, 1.0, fog, sensor, build_table(fog, sensor))
 
 
+def attenuated(intensity, ranges, alpha, sensor):
+    """`foggify_cloud`'s unscaled intensities of targets on the x axis at `ranges`,
+    in a fog of `alpha` that scatters nothing back (beta 0), so none relocates."""
+    ranges = np.atleast_1d(ranges)
+    cloud = PointCloud(np.column_stack((ranges, np.zeros((len(ranges), 2)))),
+                       np.full(len(ranges), intensity))
+    out = foggify_cloud(cloud, FogParams(alpha=alpha, beta=0.0), sensor, rescale=False)
+    assert np.all(out.provenance == Provenance.HARD_KEPT)
+    return out.cloud.intensity
+
+
+class TestHardPeakIntensity:
+    """i * exp(-2 * alpha * r0): what a target the fog does not overshadow keeps."""
+
+    def test_clear_air_identity(self, sensor):
+        assert attenuated(137.25, 88.0, 0.0, sensor)[0] == 137.25
+
+    def test_direct_value(self, sensor):
+        got = attenuated(100.0, 25.0, 0.06, sensor)[0]
+        assert got == pytest.approx(100.0 * math.exp(-2 * 0.06 * 25.0), rel=1e-15)
+        assert got == pytest.approx(4.9787068367863944, rel=1e-12)
+
+    def test_zero_intensity(self, sensor):
+        assert attenuated(0.0, 10.0, 0.3, sensor)[0] == 0.0
+
+    def test_strictly_decreasing(self, sensor):
+        alphas = np.linspace(0.001, 0.3, 50)
+        vals = [attenuated(10.0, 40.0, a, sensor)[0] for a in alphas]
+        assert np.all(np.diff(vals) < 0)
+        vals = attenuated(10.0, np.linspace(1.0, 150.0, 50), 0.05, sensor)
+        assert np.all(np.diff(vals) < 0)
+
+
 class TestFoggifyCloud:
     def test_rerun_bit_identical(self, fog06, table06, sensor):
         cloud = random_cloud(20_000, seed=11)

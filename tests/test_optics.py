@@ -9,7 +9,6 @@ from lidarfog import (
     SensorModel,
     clear_response,
     crossover,
-    hard_peak_intensity,
     soft_integrand,
     soft_response_integral,
     transmission,
@@ -127,32 +126,6 @@ class TestClearResponse:
             pytest.approx(1e-6 / np.pi, rel=1e-12)
         assert clear_response(30.0 + sensor.pulse_span / 2, 30.0, e, self.fog, sensor,
                               peak_correction=True) == pytest.approx(0.0, abs=1e-30)
-
-
-class TestHardPeakIntensity:
-    def test_clear_air_identity(self):
-        assert hard_peak_intensity(137.25, 88.0, 0.0) == 137.25
-
-    def test_direct_value(self):
-        got = hard_peak_intensity(100.0, 25.0, 0.06)
-        assert got == pytest.approx(100.0 * math.exp(-2 * 0.06 * 25.0), rel=1e-15)
-        assert got == pytest.approx(4.9787068367863944, rel=1e-12)
-
-    def test_zero_intensity(self):
-        assert hard_peak_intensity(0.0, 10.0, 0.3) == 0.0
-
-    def test_zero_range_rejected(self):
-        for bad in (0.0, np.nan):
-            with pytest.raises(ValueError):
-                hard_peak_intensity(1.0, bad, 0.06)
-
-    def test_strictly_decreasing(self):
-        alphas = np.linspace(0.001, 0.3, 50)
-        vals = [hard_peak_intensity(10.0, 40.0, a) for a in alphas]
-        assert np.all(np.diff(vals) < 0)
-        ranges = np.linspace(1.0, 150.0, 50)
-        vals = [hard_peak_intensity(10.0, r, 0.05) for r in ranges]
-        assert np.all(np.diff(vals) < 0)
 
 
 class TestSoftIntegrand:

@@ -179,14 +179,24 @@ class TestBinFormat:
             read_cloud(tmp_path / "nope.bin", BIN)
 
     def test_nonfinite_rejected_by_default(self, tmp_path):
-        rows = np.zeros((2, 4), dtype="<f4")
-        rows[1, 0] = np.nan
+        # bad records in three `_IO_ROWS` blocks and in each of the four
+        # checked columns, one with two bad values; an extra column is not checked
+        rows = np.ones((2 * _IO_ROWS + 5, 5), dtype="<f4")
+        rows[[0, 1, _IO_ROWS + 3, 2 * _IO_ROWS + 4], [3, 0, 1, 2]] = [np.nan, np.inf,
+                                                                      -np.inf, np.nan]
+        rows[_IO_ROWS + 3, 3] = np.nan
+        rows[7, 4] = np.nan
         path = tmp_path / "nan.bin"
         path.write_bytes(rows.tobytes())
-        with pytest.raises(MalformedFileError):
-            read_cloud(path, BIN)
-        cloud = read_cloud(path, BIN, allow_nonfinite=True)
-        assert len(cloud) == 2 and np.isnan(cloud.xyz[1, 0])
+        fmt = CloudFormat(columns=5)
+        cloud = read_cloud(path, fmt, allow_nonfinite=True)
+        assert len(cloud) == len(rows) and np.isinf(cloud.xyz[1, 0])
+        ply_path = tmp_path / "nan.ply"
+        write_cloud(cloud, ply_path, PLY)
+        for bad, bad_fmt in ((path, fmt), (ply_path, PLY)):
+            with pytest.raises(MalformedFileError,
+                               match=r": 4 record\(s\) with non-finite values"):
+                read_cloud(bad, bad_fmt)
 
 
 class TestPlyFormat:

@@ -34,11 +34,10 @@ from lidarfog import (
     query_soft_max,
     sample_alpha,
 )
-from lidarfog.optics import (MAX_RANGE, RANGE_STEP, SensorModel, hard_peak_intensity,
-                             soft_response_integrals)
+from lidarfog.optics import MAX_RANGE, RANGE_STEP, SensorModel, soft_response_integrals
 from lidarfog.rng import stable_key64, uniform01
 from lidarfog.tables import _INTENSITY_BAND, _lookup, _overshadow_bound, _prefix_max_argmax
-from oracles import brute_force_match_mask, dense_transform_reference
+from oracles import brute_force_match_mask, dense_transform_reference, hard_peak
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 SPECIALS = (0.0, -0.0, np.nan, np.inf, -np.inf)
@@ -129,7 +128,7 @@ def test_provenance_follows_the_per_point_rule(sensor, cloud, alpha, seed):
             i_tmp, _ = query_soft_max(table, float(r0[i]))
             inten = float(cloud.intensity[i])
             i_soft = (inten * r0[i] * r0[i] / fog.beta_0) * fog.beta * i_tmp
-            expect = bool(i_soft > hard_peak_intensity(inten, float(r0[i]), fog.alpha))
+            expect = bool(i_soft > hard_peak(inten, float(r0[i]), fog.alpha))
         assert out.provenance[i] == expect, f"point {i}"
 
 
@@ -281,7 +280,7 @@ def test_soft_hard_ratio_ignores_intensity_and_never_decreases(sensor, alpha, ra
             # the kernel's two peaks, as `_transform_block` forms them
             i_tmp, _ = query_soft_max(table, r0)
             i_soft = (inten * r0 * r0 / fog.beta_0) * fog.beta * i_tmp
-            i_hard = float(hard_peak_intensity(inten, r0, fog.alpha))
+            i_hard = float(hard_peak(inten, r0, fog.alpha))
             assert i_soft / i_hard == pytest.approx(ratio, rel=1e-13, abs=0.0)
 
 
